@@ -170,8 +170,12 @@ void RunThreadScalingSweep() {
        [&] { benchmark::DoNotOptimize(Conv2d(c2_in, c2_w, c2_b, 1, 1)); }},
       {"conv1d_b1024",
        [&] { benchmark::DoNotOptimize(Conv1d(c1_in, c1_w, Tensor(), 1)); }},
+      // Data() evaluates the pending chain; without it the sweep would time
+      // only the chain's construction.
       {"fused_elementwise_1m",
-       [&] { benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex))); }},
+       [&] {
+         benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex)).Data().data());
+       }},
   };
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   constexpr int kIters = 5;
@@ -426,7 +430,7 @@ void RunRooflineBench() {
       {"elementwise_1m",
        [&] {
          NoGradGuard no_grad;
-         benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex)));
+         benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex)).Data().data());
        }},
       {"sgd_1m",
        [&] {

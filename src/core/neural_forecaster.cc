@@ -384,6 +384,7 @@ void NeuralForecaster::Fit(const CrimeDataset& data, int64_t train_end) {
     }
   }
   root->SetTraining(false);
+  current_target_day_ = -1;  // leave the day-agnostic eval state
 }
 
 std::vector<Tensor> NeuralForecaster::PredictWindows(
@@ -392,16 +393,22 @@ std::vector<Tensor> NeuralForecaster::PredictWindows(
   Module* root = RootModule();
   STHSL_CHECK(root != nullptr)
       << Name() << ": network not materialized before PredictWindows";
+  // Concurrent callers (the serving batcher's workers) share this model:
+  // the mode flags and the day are written only when they change, so
+  // steady-state calls only read them.
   root->SetTraining(false);
   NoGradGuard no_grad;
   // Raw windows carry no calendar position; calendar-aware models fall back
   // to their day-agnostic path.
-  current_target_day_ = -1;
+  if (current_target_day_ != -1) current_target_day_ = -1;
   std::vector<Tensor> predictions;
   predictions.reserve(windows.size());
   for (const Tensor& window : windows) {
-    predictions.push_back(
-        ClampMin(Forward(window, /*training=*/false), 0.0f));
+    Tensor prediction = ClampMin(Forward(window, /*training=*/false), 0.0f);
+    // Evaluate a pending fused chain here, on the caller's clock, rather
+    // than on whichever thread first reads the result.
+    (void)prediction.Data();
+    predictions.push_back(std::move(prediction));
   }
   return predictions;
 }

@@ -72,6 +72,8 @@ class NeuralForecaster : public Forecaster {
   /// Eval-mode forward over each raw (R, W, C) window (no autograd, outputs
   /// clamped at zero like PredictDay). The network must be materialized
   /// (Fit, or a bundle loader's explicit materialization) before calling.
+  /// Concurrent calls on one model are safe once it is materialized and no
+  /// training runs; every returned tensor is already evaluated.
   std::vector<Tensor> PredictWindows(
       const std::vector<Tensor>& windows) override;
   std::vector<double> EpochSeconds() const override { return epoch_seconds_; }

@@ -372,8 +372,14 @@ void SthslForecaster::Prepare(const CrimeDataset& data, int64_t train_end) {
 Tensor SthslForecaster::Forward(const Tensor& window, bool training) {
   STHSL_CHECK(net_ != nullptr) << "Fit must run before Forward";
   SthslNet::Output out = net_->Forward(window, training);
-  last_infomax_loss_ = out.infomax_loss;
-  last_contrastive_loss_ = out.contrastive_loss;
+  // Eval forwards produce no auxiliary losses. Loss() consumes and clears
+  // the training ones, so concurrent eval callers find nothing to clear and
+  // write nothing here.
+  if (training || last_infomax_loss_.Defined() ||
+      last_contrastive_loss_.Defined()) {
+    last_infomax_loss_ = out.infomax_loss;
+    last_contrastive_loss_ = out.contrastive_loss;
+  }
   return out.prediction;
 }
 
@@ -389,6 +395,10 @@ Tensor SthslForecaster::Loss(const Tensor& pred, const Tensor& target) {
   if (last_contrastive_loss_.Defined()) {
     loss = Add(loss, MulScalar(last_contrastive_loss_, config_.lambda2));
   }
+  // The loss graph holds both terms now; dropping the members here also
+  // keeps the last training graph from outliving Fit.
+  last_infomax_loss_ = Tensor();
+  last_contrastive_loss_ = Tensor();
   return loss;
 }
 

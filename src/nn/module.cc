@@ -41,7 +41,9 @@ std::vector<std::pair<std::string, Tensor>> Module::NamedParameters() const {
 }
 
 void Module::SetTraining(bool training) {
-  training_ = training;
+  // Written only on change: concurrent eval callers setting the mode it
+  // already has then only read the flag.
+  if (training_ != training) training_ = training;
   for (auto& [name, child] : children_) child->SetTraining(training);
 }
 

@@ -364,13 +364,15 @@ void HttpServer::Drain() {
   if (stopping_.exchange(true)) {
     // A second drain still waits for the first to have joined everything.
   }
+  // shutdown() unblocks the accept() so the accept thread can exit. The fd
+  // is closed only after the join: closed earlier, its number could be
+  // reused while AcceptLoop still reads listen_fd_.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() unblocks the accept() so the accept thread can exit.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   // After the accept thread has exited no new connection threads appear.
   std::vector<std::thread> threads;
   {

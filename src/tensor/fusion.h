@@ -11,17 +11,16 @@
 // z-score → add-bias → activation → dropout-mask pipeline becomes ONE loop
 // nest over the data with zero intermediate tensor buffers. Any access to
 // the values (Data, Item, At, Backward, ...) materializes the chain in a
-// single pass over the simd microkernels.
+// single pass over the simd microkernels. Every fused op is a lane-exact
+// IEEE operation or the eager op's scalar libm formula (see simd/simd.h),
+// so a materialized chain equals the eager op sequence bitwise.
 //
-// Autograd: a pending tensor's GradNode is "fused_elemwise<K>" with inputs
-// [root, rhs...] (the rhs operands of the binary steps, in step order). Its
-// backward recomputes the forward values per element — scalar code, bitwise
-// equal to the vectorized forward because every fused op is a lane-exact
-// IEEE operation or scalar libm call (see simd/simd.h) — then applies the
-// exact local-derivative formulas of the unfused ops in reverse. The
-// gradient each input receives is the same product sequence the unfused op
-// chain would produce, so fusion changes no result bitwise: not gradients,
-// not optimizer updates, not checkpoint bytes.
+// Only grad-free chains fuse: an op declines (and takes the eager kernels)
+// when gradient recording is on and any operand needs grad. Chains form in
+// inference under NoGradGuard, over masks and constants, and in grad-free
+// prefixes such as the Eq. 1 z-scoring; a pending tensor never carries a
+// GradNode. Training's grad-carrying ops would only ever build one-step
+// chains, which cost more than the eager kernel they replace.
 //
 // Pending chains created while fusing an op onto a still-pending input share
 // the root and copy the steps; the shorter prefix tensor stays pending and,
@@ -70,7 +69,7 @@ struct FusedStep {
 };
 
 /// Chain length cap: long enough for the model's activation pipelines,
-/// short enough that backward's per-element value array stays on the stack.
+/// short enough that a chain's rhs operands stay few.
 inline constexpr int64_t kMaxFusedSteps = 8;
 
 struct FusedChain {
@@ -86,8 +85,8 @@ bool FusionEnabled();
 void SetFusionEnabledForTesting(int mode);
 
 /// Builds (or extends) a pending chain applying `op` to `a`. Returns an
-/// undefined Tensor when fusion is disabled or `a` is not eligible — the
-/// caller must then take the eager path.
+/// undefined Tensor when fusion is disabled or the result would record a
+/// gradient — the caller must then take the eager path.
 Tensor TryFuseUnary(FusedOp op, const Tensor& a, float scalar = 0.0f);
 
 /// Same for a binary op with rhs `b`; requires identical shapes (broadcasts

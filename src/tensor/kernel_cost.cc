@@ -123,8 +123,6 @@ int64_t BackwardOpFlops(const std::string& op_name,
   if (IsBinaryElementwise(op_name) || IsUnaryElementwise(op_name)) {
     return 2 * out_numel;
   }
-  // Fused chains recompute the K forward steps, then run K backward steps.
-  if (const int64_t k = FusedChainSteps(op_name)) return 2 * k * out_numel;
   return 0;
 }
 

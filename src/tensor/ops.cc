@@ -1,7 +1,9 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 
@@ -42,6 +44,97 @@ std::vector<int64_t> BroadcastStrides(const std::vector<int64_t>& shape,
   return padded;
 }
 
+// A row-major walk over an output shape for N operands, operand k reading
+// output coordinate c at sum over d of c[d] * stride[k][d]. Extent-1 dims
+// are dropped and adjacent dims that every operand walks contiguously are
+// merged, so rows (the last remaining dim) are as long as possible.
+template <size_t N>
+class StridedWalk {
+ public:
+  StridedWalk(const std::vector<int64_t>& shape,
+              const std::array<std::vector<int64_t>, N>& strides) {
+    for (size_t d = 0; d < shape.size(); ++d) {
+      const int64_t e = shape[d];
+      if (e == 1) continue;
+      bool merge = !extent_.empty();
+      for (size_t k = 0; k < N && merge; ++k) {
+        merge = stride_[k].back() == strides[k][d] * e;
+      }
+      if (merge) {
+        extent_.back() *= e;
+        for (size_t k = 0; k < N; ++k) stride_[k].back() = strides[k][d];
+      } else {
+        extent_.push_back(e);
+        for (size_t k = 0; k < N; ++k) stride_[k].push_back(strides[k][d]);
+      }
+    }
+    if (extent_.empty()) {  // rank 0 or all extents 1: a single element
+      extent_.push_back(1);
+      for (size_t k = 0; k < N; ++k) stride_[k].push_back(0);
+    }
+  }
+
+  /// Operand k's stride along a row.
+  int64_t RowStride(size_t k) const { return stride_[k].back(); }
+
+  /// Covers output elements [lo, hi) with spans that each lie within one
+  /// row, calling visit(i, offsets, len) for span [i, i + len); offsets[k]
+  /// is operand k's offset of element i. The row odometer is seeded with
+  /// one div/mod pass and then advanced by additions only.
+  template <typename Visit>
+  void ForSpans(int64_t lo, int64_t hi, Visit&& visit) const {
+    if (lo >= hi) return;
+    const size_t outer = extent_.size() - 1;
+    const int64_t row_len = extent_.back();
+    std::vector<int64_t> coord(outer);
+    std::array<int64_t, N> off{};
+    int64_t rem = lo / row_len;
+    for (size_t d = outer; d-- > 0;) {
+      coord[d] = rem % extent_[d];
+      rem /= extent_[d];
+      for (size_t k = 0; k < N; ++k) off[k] += coord[d] * stride_[k][d];
+    }
+    int64_t j = lo % row_len;
+    for (int64_t i = lo; i < hi; j = 0) {
+      const int64_t len = std::min(row_len - j, hi - i);
+      std::array<int64_t, N> at;
+      for (size_t k = 0; k < N; ++k) at[k] = off[k] + j * RowStride(k);
+      visit(i, at, len);
+      i += len;
+      for (size_t d = outer; d-- > 0;) {
+        for (size_t k = 0; k < N; ++k) off[k] += stride_[k][d];
+        if (++coord[d] < extent_[d]) break;
+        for (size_t k = 0; k < N; ++k) off[k] -= stride_[k][d] * extent_[d];
+        coord[d] = 0;
+      }
+    }
+  }
+
+ private:
+  std::vector<int64_t> extent_;
+  std::array<std::vector<int64_t>, N> stride_;
+};
+
+// Calls f(j, x_j, y_j) for j in [0, len), where x_j = a[j * sa] and
+// y_j = b[j * sb]. The contiguous and single-value cases get their own
+// loops so the compiler can vectorize them; every case visits the same
+// (x, y) pairs.
+template <typename F>
+inline void ForSpanPairs(int64_t len, const float* a, int64_t sa,
+                         const float* b, int64_t sb, F f) {
+  if (sa == 1 && sb == 0) {
+    const float y = b[0];
+    for (int64_t j = 0; j < len; ++j) f(j, a[j], y);
+  } else if (sa == 0 && sb == 1) {
+    const float x = a[0];
+    for (int64_t j = 0; j < len; ++j) f(j, x, b[j]);
+  } else if (sa == 1 && sb == 1) {
+    for (int64_t j = 0; j < len; ++j) f(j, a[j], b[j]);
+  } else {
+    for (int64_t j = 0; j < len; ++j) f(j, a[j * sa], b[j * sb]);
+  }
+}
+
 // Sums `grad` (shaped like `out_shape`) down to `target_shape` (the inverse
 // of broadcasting). Runs under NoGradGuard during backward.
 Tensor ReduceGradTo(const Tensor& grad, const std::vector<int64_t>& target) {
@@ -72,37 +165,22 @@ Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
   const auto& av = a.Data();
   const auto& bv = b.Data();
 
-  if (a.Shape() == b.Shape()) {
-    exec::ParallelFor(
-        0, n, kElemGrain,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) out[i] = fwd(av[i], bv[i]);
-        },
-        "exec/elementwise");
-  } else {
-    const auto sa = BroadcastStrides(a.Shape(), out_shape);
-    const auto sb = BroadcastStrides(b.Shape(), out_shape);
-    const auto so = StridesOf(out_shape);
-    const size_t rank = out_shape.size();
-    exec::ParallelFor(
-        0, n, kElemGrain,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            int64_t rem = i;
-            int64_t ia = 0;
-            int64_t ib = 0;
-            for (size_t d = 0; d < rank; ++d) {
-              const int64_t coord = rem / so[d];
-              rem -= coord * so[d];
-              ia += coord * sa[d];
-              ib += coord * sb[d];
-            }
-            out[i] =
-                fwd(av[static_cast<size_t>(ia)], bv[static_cast<size_t>(ib)]);
-          }
-        },
-        "exec/elementwise");
-  }
+  // Same shapes merge into one contiguous row; broadcasts walk a zero
+  // stride along each broadcast dim.
+  const StridedWalk<2> walk(out_shape, {BroadcastStrides(a.Shape(), out_shape),
+                                        BroadcastStrides(b.Shape(), out_shape)});
+  exec::ParallelFor(
+      0, n, kElemGrain,
+      [&](int64_t lo, int64_t hi) {
+        walk.ForSpans(lo, hi, [&](int64_t i, const std::array<int64_t, 2>& at,
+                                  int64_t len) {
+          float* o = out.data() + i;
+          ForSpanPairs(len, av.data() + at[0], walk.RowStride(0),
+                       bv.data() + at[1], walk.RowStride(1),
+                       [&](int64_t j, float x, float y) { o[j] = fwd(x, y); });
+        });
+      },
+      "exec/elementwise");
 
   Tensor a_captured = a;
   Tensor b_captured = b;
@@ -125,42 +203,27 @@ Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
         if (need_a) ga_full.resize(static_cast<size_t>(n));
         if (need_b) gb_full.resize(static_cast<size_t>(n));
 
-        if (a_captured.Shape() == b_captured.Shape()) {
-          exec::ParallelFor(
-              0, n, kElemGrain,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                  if (need_a) ga_full[i] = gv[i] * dx(av[i], bv[i]);
-                  if (need_b) gb_full[i] = gv[i] * dy(av[i], bv[i]);
-                }
-              },
-              "exec/elementwise");
-        } else {
-          const auto sa = BroadcastStrides(a_captured.Shape(), out_shape);
-          const auto sb = BroadcastStrides(b_captured.Shape(), out_shape);
-          const auto so = StridesOf(out_shape);
-          const size_t rank = out_shape.size();
-          exec::ParallelFor(
-              0, n, kElemGrain,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                  int64_t rem = i;
-                  int64_t ia = 0;
-                  int64_t ib = 0;
-                  for (size_t d = 0; d < rank; ++d) {
-                    const int64_t coord = rem / so[d];
-                    rem -= coord * so[d];
-                    ia += coord * sa[d];
-                    ib += coord * sb[d];
-                  }
-                  const float x = av[static_cast<size_t>(ia)];
-                  const float y = bv[static_cast<size_t>(ib)];
-                  if (need_a) ga_full[i] = gv[i] * dx(x, y);
-                  if (need_b) gb_full[i] = gv[i] * dy(x, y);
-                }
-              },
-              "exec/elementwise");
-        }
+        const StridedWalk<2> walk(
+            out_shape, {BroadcastStrides(a_captured.Shape(), out_shape),
+                        BroadcastStrides(b_captured.Shape(), out_shape)});
+        exec::ParallelFor(
+            0, n, kElemGrain,
+            [&](int64_t lo, int64_t hi) {
+              walk.ForSpans(lo, hi, [&](int64_t i,
+                                        const std::array<int64_t, 2>& at,
+                                        int64_t len) {
+                const float* g_span = gv.data() + i;
+                float* ga_span = need_a ? ga_full.data() + i : nullptr;
+                float* gb_span = need_b ? gb_full.data() + i : nullptr;
+                ForSpanPairs(len, av.data() + at[0], walk.RowStride(0),
+                             bv.data() + at[1], walk.RowStride(1),
+                             [&](int64_t j, float x, float y) {
+                               if (need_a) ga_span[j] = g_span[j] * dx(x, y);
+                               if (need_b) gb_span[j] = g_span[j] * dy(x, y);
+                             });
+              });
+            },
+            "exec/elementwise");
         if (need_a) {
           ga = ReduceGradTo(Tensor::FromVector(out_shape, std::move(ga_full)),
                             a_captured.Shape());
@@ -173,8 +236,10 @@ Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
       });
 }
 
-// Generic elementwise unary op with local derivative `df(x, fx)`.
-template <typename Fwd, typename Df>
+// Generic elementwise unary op with local derivative `df(x, fx)`. Only ops
+// whose derivative reads f(x) (kDfReadsFx) keep a detached copy of the
+// outputs for backward; the others pass fx = 0 to `df`, which ignores it.
+template <bool kDfReadsFx, typename Fwd, typename Df>
 Tensor UnaryOp(const char* name, const Tensor& a, Fwd fwd, Df df) {
   const int64_t n = a.Numel();
   std::vector<float> out(static_cast<size_t>(n));
@@ -187,20 +252,23 @@ Tensor UnaryOp(const char* name, const Tensor& a, Fwd fwd, Df df) {
       "exec/elementwise");
 
   Tensor a_captured = a;
-  Tensor fx = Tensor::FromVector(a.Shape(), out);  // detached copy of outputs
+  Tensor fx;
+  if (kDfReadsFx && GradRecordingEnabled() && NeedsGrad(a)) {
+    fx = Tensor::FromVector(a.Shape(), out);
+  }
   return MakeResult(
       a.Shape(), std::move(out), name, {a},
       [a_captured, fx, df](const Tensor& g) -> std::vector<Tensor> {
         const int64_t n = a_captured.Numel();
         const auto& gv = g.Data();
         const auto& av = a_captured.Data();
-        const auto& fv = fx.Data();
+        const float* fv = kDfReadsFx ? fx.Data().data() : nullptr;
         std::vector<float> ga(static_cast<size_t>(n));
         exec::ParallelFor(
             0, n, kElemGrain,
             [&](int64_t lo, int64_t hi) {
               for (int64_t i = lo; i < hi; ++i) {
-                ga[i] = gv[i] * df(av[i], fv[i]);
+                ga[i] = gv[i] * df(av[i], kDfReadsFx ? fv[i] : 0.0f);
               }
             },
             "exec/elementwise");
@@ -215,7 +283,7 @@ Tensor UnaryOp(const char* name, const Tensor& a, Fwd fwd, Df df) {
 // Each elementwise op first offers itself to the fusion layer: same-shape
 // chains build a pending FusedChain (one loop nest, no intermediates — see
 // tensor/fusion.h) and only fall through to the eager kernels below when
-// fusion is off or the shapes broadcast.
+// fusion is off, the shapes broadcast or the result records a gradient.
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   if (Tensor f = TryFuseBinary(FusedOp::kAdd, a, b); f.Defined()) return f;
@@ -252,14 +320,14 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 
 Tensor AddScalar(const Tensor& a, float s) {
   if (Tensor f = TryFuseUnary(FusedOp::kAddScalar, a, s); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<false>(
       "add_scalar", a, [s](float x) { return x + s; },
       [](float, float) { return 1.0f; });
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
   if (Tensor f = TryFuseUnary(FusedOp::kMulScalar, a, s); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<false>(
       "mul_scalar", a, [s](float x) { return x * s; },
       [s](float, float) { return s; });
 }
@@ -268,14 +336,14 @@ Tensor MulScalar(const Tensor& a, float s) {
 
 Tensor Neg(const Tensor& a) {
   if (Tensor f = TryFuseUnary(FusedOp::kNeg, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<false>(
       "neg", a, [](float x) { return -x; },
       [](float, float) { return -1.0f; });
 }
 
 Tensor Exp(const Tensor& a) {
   if (Tensor f = TryFuseUnary(FusedOp::kExp, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<true>(
       "exp", a, [](float x) { return std::exp(x); },
       [](float, float fx) { return fx; });
 }
@@ -283,7 +351,7 @@ Tensor Exp(const Tensor& a) {
 Tensor Log(const Tensor& a) {
   if (DebugChecksEnabled()) ValidateOpInput("log", "a", a);
   if (Tensor f = TryFuseUnary(FusedOp::kLog, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<false>(
       "log", a, [](float x) { return std::log(std::max(x, 1e-12f)); },
       [](float x, float) { return 1.0f / std::max(x, 1e-12f); });
 }
@@ -291,14 +359,14 @@ Tensor Log(const Tensor& a) {
 Tensor Sqrt(const Tensor& a) {
   if (DebugChecksEnabled()) ValidateOpInput("sqrt", "a", a);
   if (Tensor f = TryFuseUnary(FusedOp::kSqrt, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<true>(
       "sqrt", a, [](float x) { return std::sqrt(x); },
       [](float, float fx) { return 0.5f / std::max(fx, 1e-12f); });
 }
 
 Tensor Abs(const Tensor& a) {
   if (Tensor f = TryFuseUnary(FusedOp::kAbs, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<false>(
       "abs", a, [](float x) { return std::fabs(x); },
       [](float x, float) { return x >= 0.0f ? 1.0f : -1.0f; });
 }
@@ -307,7 +375,7 @@ Tensor PowScalar(const Tensor& a, float exponent) {
   if (Tensor f = TryFuseUnary(FusedOp::kPowScalar, a, exponent); f.Defined()) {
     return f;
   }
-  return UnaryOp(
+  return UnaryOp<false>(
       "pow_scalar", a,
       [exponent](float x) { return std::pow(x, exponent); },
       [exponent](float x, float) {
@@ -317,14 +385,14 @@ Tensor PowScalar(const Tensor& a, float exponent) {
 
 Tensor Square(const Tensor& a) {
   if (Tensor f = TryFuseUnary(FusedOp::kSquare, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<false>(
       "square", a, [](float x) { return x * x; },
       [](float x, float) { return 2.0f * x; });
 }
 
 Tensor Sigmoid(const Tensor& a) {
   if (Tensor f = TryFuseUnary(FusedOp::kSigmoid, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<true>(
       "sigmoid", a,
       [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
       [](float, float fx) { return fx * (1.0f - fx); });
@@ -332,14 +400,14 @@ Tensor Sigmoid(const Tensor& a) {
 
 Tensor Tanh(const Tensor& a) {
   if (Tensor f = TryFuseUnary(FusedOp::kTanh, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<true>(
       "tanh", a, [](float x) { return std::tanh(x); },
       [](float, float fx) { return 1.0f - fx * fx; });
 }
 
 Tensor Relu(const Tensor& a) {
   if (Tensor f = TryFuseUnary(FusedOp::kRelu, a); f.Defined()) return f;
-  return UnaryOp(
+  return UnaryOp<false>(
       "relu", a, [](float x) { return x > 0.0f ? x : 0.0f; },
       [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
 }
@@ -349,7 +417,7 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
       f.Defined()) {
     return f;
   }
-  return UnaryOp(
+  return UnaryOp<false>(
       "leaky_relu", a,
       [negative_slope](float x) {
         return x > 0.0f ? x : negative_slope * x;
@@ -363,7 +431,7 @@ Tensor ClampMin(const Tensor& a, float floor) {
   if (Tensor f = TryFuseUnary(FusedOp::kClampMin, a, floor); f.Defined()) {
     return f;
   }
-  return UnaryOp(
+  return UnaryOp<false>(
       "clamp_min", a,
       [floor](float x) { return x > floor ? x : floor; },
       [floor](float x, float) { return x > floor ? 1.0f : 0.0f; });
@@ -590,24 +658,31 @@ Tensor Permute(const Tensor& a, std::vector<int64_t> dims) {
     out_shape[i] = shape[static_cast<size_t>(d)];
   }
 
+  // A strided copy: output dim i reads the source with the stride of
+  // source dim dims[i]; rows whose source is contiguous are one memcpy.
   const auto in_strides = StridesOf(shape);
-  const auto out_strides = StridesOf(out_shape);
+  std::vector<int64_t> src_strides(rank);
+  for (size_t i = 0; i < rank; ++i) {
+    src_strides[i] = in_strides[static_cast<size_t>(dims[i])];
+  }
+  const StridedWalk<1> walk(out_shape, {src_strides});
   const int64_t n = a.Numel();
   std::vector<float> out(static_cast<size_t>(n));
-  const auto& av = a.Data();
+  const float* src = a.Data().data();
+  float* dst = out.data();
+  const int64_t row_stride = walk.RowStride(0);
   exec::ParallelFor(
       0, n, kElemGrain,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          int64_t rem = i;
-          int64_t src = 0;
-          for (size_t d = 0; d < rank; ++d) {
-            const int64_t coord = rem / out_strides[d];
-            rem -= coord * out_strides[d];
-            src += coord * in_strides[static_cast<size_t>(dims[d])];
+        walk.ForSpans(lo, hi, [&](int64_t i, const std::array<int64_t, 1>& at,
+                                  int64_t len) {
+          const float* from = src + at[0];
+          if (row_stride == 1) {
+            std::memcpy(dst + i, from, static_cast<size_t>(len) * sizeof(float));
+          } else {
+            for (int64_t j = 0; j < len; ++j) dst[i + j] = from[j * row_stride];
           }
-          out[static_cast<size_t>(i)] = av[static_cast<size_t>(src)];
-        }
+        });
       },
       "exec/permute");
 

@@ -252,8 +252,14 @@ void AccumulateGrad(const std::shared_ptr<TensorImpl>& impl,
   if (DebugChecksEnabled()) ValidateGradAccumulation(*impl, grad);
   STHSL_CHECK_EQ(static_cast<int64_t>(impl->data.size()), grad.Numel())
       << "gradient shape mismatch in accumulation";
-  if (impl->grad.empty()) impl->grad.assign(impl->data.size(), 0.0f);
   const auto& g = grad.Data();
+  if (impl->grad.empty()) {
+    // First touch writes 0 + g instead of reading back a zero-filled buffer
+    // to add to it; the bits are the same, including -0 → +0.
+    impl->grad.resize(g.size());
+    for (size_t i = 0; i < g.size(); ++i) impl->grad[i] = 0.0f + g[i];
+    return;
+  }
   for (size_t i = 0; i < g.size(); ++i) impl->grad[i] += g[i];
 }
 
@@ -327,7 +333,10 @@ void Tensor::Backward(const Tensor& seed) const {
     }
     STHSL_CHECK(!node->grad.empty())
         << "node in topo order missing accumulated gradient: " << fn->op_name;
-    Tensor grad_out = Tensor::FromVector(node->shape, node->grad);
+    // Hand the complete gradient off instead of copying it. This leaves the
+    // node's buffer empty, and grad_out frees it after this iteration: once
+    // a node has propagated, only leaves still need their grads.
+    Tensor grad_out = Tensor::FromVector(node->shape, std::move(node->grad));
     const bool obs_on = obs::TraceEnabled();
     const double obs_start_us = obs_on ? obs::TraceNowMicros() : 0.0;
     std::vector<Tensor> input_grads = fn->backward(grad_out);
@@ -356,10 +365,6 @@ void Tensor::Backward(const Tensor& seed) const {
       }
       AccumulateGrad(input_impl, input_grads[i]);
     }
-    // Free intermediate gradient buffers and the tape edge eagerly: after a
-    // node has propagated, only leaves still need their grads.
-    node->grad.clear();
-    node->grad.shrink_to_fit();
   }
 }
 

@@ -2,7 +2,9 @@
 // validated against central finite differences, plus structural tests of
 // accumulation, detachment and grad-mode switching.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -358,6 +360,17 @@ TEST(AutogradStructure, LongChainBackward) {
   for (int i = 0; i < 2000; ++i) y = y + 0.001f;
   Sum(y).Backward();
   EXPECT_FLOAT_EQ(x.Grad()[0], 1.0f);
+}
+
+TEST(AutogradStructure, FirstTouchNegativeZeroGradientAccumulatesToPlusZero) {
+  Tensor x = Tensor::Ones({2}, /*requires_grad=*/true);
+  Tensor y = MulScalar(x, -1.0f);
+  // The local gradient 0 * -1 is -0; accumulating it into x's empty buffer
+  // must give 0 + -0 = +0, as a zero-filled buffer plus -0 would.
+  y.Backward(Tensor::FromVector({2}, {0.0f, 1.0f}));
+  ASSERT_EQ(x.Grad().size(), 2u);
+  EXPECT_EQ(std::bit_cast<uint32_t>(x.Grad()[0]), 0u);
+  EXPECT_EQ(x.Grad()[1], -1.0f);
 }
 
 TEST(AutogradStructure, GradDoesNotFlowToNonRequiringInputs) {

@@ -8,12 +8,14 @@
 //    (1, 3, 7, 17, 63) — the executable form of the simd.h contract;
 //  - GEMM: the blocked driver matches a plain ascending-fma reference
 //    bitwise, including K larger than the cache block;
-//  - fusion: chains collapse to one autograd node, forward/backward are
-//    bitwise identical to the unfused graph, gradcheck passes, broadcasts
-//    fall back to eager, intermediate allocations disappear;
+//  - fusion: grad-free chains fuse while grad-recording ops run eager and
+//    leave no fused node in the graph, forward/backward are bitwise
+//    identical to the unfused graph, gradcheck passes, broadcasts fall back
+//    to eager, intermediate allocations disappear;
 //  - thread invariance: vectorized and fused paths are bitwise stable
 //    across thread counts.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -344,42 +346,66 @@ TEST(GemmBitwise, ForwardAndGradsIdenticalAcrossKernelSets) {
 
 // ---------------------------------------------------------------- fusion --
 
-TEST(Fusion, ChainCollapsesToOneAutogradNode) {
+// Number of steps of `t`'s pending chain, 0 when `t` is materialized.
+size_t PendingSteps(const Tensor& t) {
+  const auto impl = t.Impl();
+  return impl->pending != nullptr ? impl->pending->steps.size() : 0;
+}
+
+// Every op name in the autograd graph rooted at `root`.
+std::vector<std::string> GraphOpNames(const Tensor& root) {
+  std::vector<std::string> names;
+  std::vector<std::shared_ptr<GradNode>> stack;
+  std::vector<const GradNode*> seen;
+  if (root.GradFn() != nullptr) stack.push_back(root.GradFn());
+  while (!stack.empty()) {
+    const auto node = stack.back();
+    stack.pop_back();
+    if (std::find(seen.begin(), seen.end(), node.get()) != seen.end()) continue;
+    seen.push_back(node.get());
+    names.push_back(node->op_name);
+    for (const Tensor& input : node->inputs) {
+      if (input.GradFn() != nullptr) stack.push_back(input.GradFn());
+    }
+  }
+  return names;
+}
+
+TEST(Fusion, GradFreePrefixFusesAndGradStepRunsEager) {
   SimdOverrideGuard guard;
   SetFusionEnabledForTesting(1);
   Rng rng(11);
   // The prefix of the chain is grad-free, so it stays lazy and keeps
-  // extending; the grad-carrying rhs arrives in the last step, giving one
-  // fused node covering all three steps.
+  // extending; the grad-carrying rhs arrives in the last step, which takes
+  // the eager kernel and records an ordinary node.
   Tensor a = Tensor::Randn({4, 8}, rng, 1.0f);
   Tensor b = Tensor::Randn({4, 8}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor z = Mul(Relu(AddScalar(a, 0.5f)), b);
+  Tensor prefix = Relu(AddScalar(a, 0.5f));
+  EXPECT_EQ(PendingSteps(prefix), 2u);
+  EXPECT_EQ(prefix.GradFn(), nullptr);
+  Tensor z = Mul(prefix, b);
+  EXPECT_EQ(PendingSteps(z), 0u);
   ASSERT_NE(z.GradFn(), nullptr);
-  EXPECT_EQ(z.GradFn()->op_name, "fused_elemwise3");
-  // Inputs are [root, rhs...]: a and b; the AddScalar/Relu prefix tensors
-  // never become inputs (and are never materialized).
-  EXPECT_EQ(z.GradFn()->inputs.size(), 2u);
+  EXPECT_EQ(z.GradFn()->op_name, "mul");
+  ASSERT_EQ(z.GradFn()->inputs.size(), 2u);
+  EXPECT_EQ(z.GradFn()->inputs[0].GradFn(), nullptr);
 }
 
-TEST(Fusion, ChainSplitsAtGradGraphBoundaries) {
+TEST(Fusion, GradRecordingOpsTakeEagerKernels) {
   SimdOverrideGuard guard;
   SetFusionEnabledForTesting(1);
   Rng rng(11);
   Tensor a = Tensor::Randn({4, 8}, rng, 1.0f, /*requires_grad=*/true);
-  // Every intermediate carries grad, so extending through it would change
-  // how consumer gradients associate; each op must get its own node.
   Tensor z = Relu(AddScalar(Square(a), 0.5f));
-  ASSERT_NE(z.GradFn(), nullptr);
-  EXPECT_EQ(z.GradFn()->op_name, "fused_elemwise1");
-  ASSERT_EQ(z.GradFn()->inputs.size(), 1u);
-  const auto& mid = z.GradFn()->inputs[0];
-  ASSERT_NE(mid.GradFn(), nullptr);
-  EXPECT_EQ(mid.GradFn()->op_name, "fused_elemwise1");
-  // Under NoGradGuard the same expression collapses back into one chain.
+  EXPECT_EQ(PendingSteps(z), 0u);
+  EXPECT_EQ(GraphOpNames(z),
+            (std::vector<std::string>{"relu", "add_scalar", "square"}));
+  // Under NoGradGuard the same expression fuses into one pending chain.
   {
     NoGradGuard no_grad;
     Tensor w = Relu(AddScalar(Square(a), 0.5f));
     EXPECT_EQ(w.GradFn(), nullptr);
+    EXPECT_EQ(PendingSteps(w), 3u);
   }
 }
 
@@ -394,17 +420,10 @@ TEST(Fusion, BroadcastBinaryFallsBackToEager) {
   EXPECT_EQ(z.GradFn()->op_name, "add");
 }
 
-std::vector<float> ChainForwardAndGrads(int fusion_mode, int threads) {
-  ThreadCountGuard thread_guard;
-  exec::SetThreadCount(threads);
-  SetFusionEnabledForTesting(fusion_mode);
-  Rng rng(13);
-  // Odd numel (3*7*17 = 357) so vector paths hit scalar tails.
-  Tensor a = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor b = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor mask = Tensor::Rand({3, 7, 17}, rng, 0.5f, 1.5f);
-  // A z-score -> bias -> activation -> mask pipeline plus a tail that forces
-  // a chain split (> kMaxFusedSteps steps in total).
+// A z-score -> bias -> activation -> mask pipeline plus a tail that would
+// force a chain split (> kMaxFusedSteps steps in total).
+Tensor ElementwisePipeline(const Tensor& a, const Tensor& b,
+                           const Tensor& mask) {
   Tensor z = Mul(a, b);
   z = AddScalar(z, 0.25f);
   z = Tanh(z);
@@ -414,13 +433,48 @@ std::vector<float> ChainForwardAndGrads(int fusion_mode, int threads) {
   z = Sub(z, b);
   z = Square(z);
   z = LeakyRelu(z, 0.01f);  // step 9: exceeds kMaxFusedSteps, splits chain
-  z = AddScalar(z, 0.125f);
-  Tensor loss = Sum(z);
+  return AddScalar(z, 0.125f);
+}
+
+std::vector<float> ChainForwardAndGrads(int fusion_mode, int threads) {
+  ThreadCountGuard thread_guard;
+  exec::SetThreadCount(threads);
+  SetFusionEnabledForTesting(fusion_mode);
+  Rng rng(13);
+  // Odd numel (3*7*17 = 357) so vector paths hit scalar tails.
+  Tensor a = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor mask = Tensor::Rand({3, 7, 17}, rng, 0.5f, 1.5f);
+  Tensor loss = Sum(ElementwisePipeline(a, b, mask));
   loss.Backward();
   std::vector<float> out = {loss.Item()};
   out.insert(out.end(), a.Grad().begin(), a.Grad().end());
   out.insert(out.end(), b.Grad().begin(), b.Grad().end());
+  {
+    // The same pipeline without gradients: with fusion on, two chains.
+    NoGradGuard no_grad;
+    const Tensor inference = ElementwisePipeline(a, b, mask);
+    out.insert(out.end(), inference.Data().begin(), inference.Data().end());
+  }
   return out;
+}
+
+TEST(Fusion, GradGraphHoldsNoFusedNodes) {
+  SimdOverrideGuard guard;
+  SetFusionEnabledForTesting(1);
+  Rng rng(13);
+  Tensor a = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor mask = Tensor::Rand({3, 7, 17}, rng, 0.5f, 1.5f);
+  const std::vector<std::string> names =
+      GraphOpNames(Sum(ElementwisePipeline(a, b, mask)));
+  EXPECT_EQ(names.size(), 11u);
+  for (const std::string& name : names) {
+    EXPECT_EQ(name.rfind("fused_elemwise", 0), std::string::npos) << name;
+  }
+  NoGradGuard no_grad;
+  // 8 steps fill the first chain; the last two start a second one.
+  EXPECT_EQ(PendingSteps(ElementwisePipeline(a, b, mask)), 2u);
 }
 
 TEST(Fusion, ForwardAndGradsBitwiseEqualUnfused) {

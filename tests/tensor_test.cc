@@ -1,11 +1,14 @@
 // Unit tests for the core Tensor type: creation, introspection, shape
 // manipulation and forward values of the op library.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/exec.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -218,6 +221,131 @@ TEST(OpsShape, Permute3d) {
   // p[k][i][j] == a[i][j][k]
   EXPECT_EQ(p.At({1, 0, 1}), a.At({0, 1, 1}));
   EXPECT_EQ(p.At({0, 1, 0}), a.At({1, 0, 0}));
+}
+
+// Naive reference: out[i] = a[src(i)] with every output coordinate decoded
+// from the flat index by div/mod.
+std::vector<float> NaivePermute(const Tensor& a,
+                                const std::vector<int64_t>& dims) {
+  const auto& shape = a.Shape();
+  const size_t rank = shape.size();
+  std::vector<int64_t> norm(dims);
+  for (auto& d : norm) {
+    if (d < 0) d += static_cast<int64_t>(rank);
+  }
+  std::vector<int64_t> out_shape(rank);
+  for (size_t i = 0; i < rank; ++i) {
+    out_shape[i] = shape[static_cast<size_t>(norm[i])];
+  }
+  const auto in_strides = StridesOf(shape);
+  const auto out_strides = StridesOf(out_shape);
+  std::vector<float> out(static_cast<size_t>(a.Numel()));
+  for (int64_t i = 0; i < a.Numel(); ++i) {
+    int64_t src = 0;
+    for (size_t d = 0; d < rank; ++d) {
+      const int64_t coord = (i / out_strides[d]) % out_shape[d];
+      src += coord * in_strides[static_cast<size_t>(norm[d])];
+    }
+    out[static_cast<size_t>(i)] = a.Data()[static_cast<size_t>(src)];
+  }
+  return out;
+}
+
+void ExpectPermuteMatchesNaive(const Tensor& a,
+                               const std::vector<int64_t>& dims) {
+  const std::vector<float> want = NaivePermute(a, dims);
+  const int previous = exec::ThreadCount();
+  for (int threads : {1, 4}) {
+    exec::SetThreadCount(threads);
+    const Tensor p = Permute(a, dims);
+    ASSERT_EQ(p.Numel(), a.Numel());
+    if (want.empty()) continue;
+    EXPECT_EQ(std::memcmp(p.Data().data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "threads " << threads << " rank " << dims.size();
+  }
+  exec::SetThreadCount(previous);
+}
+
+Tensor Iota(std::vector<int64_t> shape) {
+  std::vector<float> values(static_cast<size_t>(NumelOf(shape)));
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<float>(i);
+  }
+  if (values.size() > 1) values[1] = -0.0f;  // copies keep the sign bit
+  return Tensor::FromVector(std::move(shape), std::move(values));
+}
+
+TEST(OpsShape, PermuteBitwiseAgainstNaiveEveryRank4Order) {
+  // Large enough to span several parallel chunks; the size-1 dim exercises
+  // dim dropping, and some orders merge source-adjacent dims.
+  const Tensor a = Iota({7, 1, 65, 43});
+  std::vector<int64_t> dims = {0, 1, 2, 3};
+  int orders = 0;
+  do {
+    ExpectPermuteMatchesNaive(a, dims);
+    ++orders;
+  } while (std::next_permutation(dims.begin(), dims.end()));
+  EXPECT_EQ(orders, 24);
+}
+
+TEST(OpsShape, PermuteBitwiseAgainstNaiveOtherRanks) {
+  ExpectPermuteMatchesNaive(Iota({}), {});
+  ExpectPermuteMatchesNaive(Iota({40000}), {0});
+  ExpectPermuteMatchesNaive(Iota({3, 5, 2, 7, 11}), {4, 0, 3, 1, 2});
+  ExpectPermuteMatchesNaive(Iota({3, 5, 2, 7, 11}), {0, 1, 4, 2, 3});
+  ExpectPermuteMatchesNaive(Iota({6, 9, 512}), {-1, 0, -2});
+  ExpectPermuteMatchesNaive(Iota({1, 1, 1}), {2, 0, 1});
+  ExpectPermuteMatchesNaive(Iota({4, 0, 3}), {2, 1, 0});
+}
+
+// Naive broadcast reference: every output coordinate decoded by div/mod.
+std::vector<float> NaiveBroadcastMul(const Tensor& a, const Tensor& b) {
+  const auto out_shape = BroadcastShapes(a.Shape(), b.Shape());
+  const size_t rank = out_shape.size();
+  const auto out_strides = StridesOf(out_shape);
+  const auto offset_in = [&](const Tensor& t, int64_t i) {
+    const auto& shape = t.Shape();
+    const auto strides = StridesOf(shape);
+    const size_t pad = rank - shape.size();
+    int64_t off = 0;
+    for (size_t d = pad; d < rank; ++d) {
+      const int64_t coord = (i / out_strides[d]) % out_shape[d];
+      if (shape[d - pad] != 1) off += coord * strides[d - pad];
+    }
+    return off;
+  };
+  std::vector<float> out(static_cast<size_t>(NumelOf(out_shape)));
+  for (int64_t i = 0; i < static_cast<int64_t>(out.size()); ++i) {
+    out[static_cast<size_t>(i)] = a.Data()[offset_in(a, i)] *
+                                  b.Data()[offset_in(b, i)];
+  }
+  return out;
+}
+
+TEST(OpsForward, BroadcastBitwiseAgainstNaive) {
+  const std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>>
+      cases = {{{64, 1, 300}, {7, 1}},      {{5, 700}, {700}},
+               {{9, 4, 1, 77}, {1, 33, 1}}, {{300, 77}, {}},
+               {{1, 7, 9}, {13, 1, 9}},     {{1, 2, 1}, {3, 1, 5}}};
+  const int previous = exec::ThreadCount();
+  for (const auto& [sa, sb] : cases) {
+    Rng rng(static_cast<uint64_t>(sa.size() * 31 + sb.size()));
+    const Tensor a = Tensor::Randn(sa, rng);
+    const Tensor b = Tensor::Randn(sb, rng);
+    const std::vector<float> want = NaiveBroadcastMul(a, b);
+    for (int threads : {1, 4}) {
+      exec::SetThreadCount(threads);
+      const Tensor got = Mul(a, b);
+      ASSERT_EQ(got.Numel(), static_cast<int64_t>(want.size()));
+      EXPECT_EQ(std::memcmp(got.Data().data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "threads " << threads;
+    }
+  }
+  exec::SetThreadCount(previous);
 }
 
 TEST(OpsShape, TransposeIsPermute) {
