@@ -28,6 +28,7 @@
 #include "tensor/sparse_ops.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "util/json_mini.h"
 #include "util/obs/calibrate.h"
 #include "util/obs/obs.h"
 #include "util/obs/perf_counters.h"
@@ -193,44 +194,32 @@ void RunThreadScalingSweep() {
     bench::PrintTableHeader(columns, 24, 12);
   }
 
-  std::string json = "{\n  \"hardware_threads\": " +
-                     std::to_string(exec::HardwareThreadCount()) +
-                     ",\n  \"kernels\": [\n";
-  for (size_t ki = 0; ki < kernels.size(); ++ki) {
-    const SweepKernel& kernel = kernels[ki];
+  json::JsonWriter json;
+  json.BeginObject().Key("hardware_threads").Int(exec::HardwareThreadCount());
+  json.Key("kernels").BeginArray();
+  for (const SweepKernel& kernel : kernels) {
     double serial_us = 0.0;
     std::vector<double> row;
-    std::string entries;
-    for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
-      exec::SetThreadCount(thread_counts[ti]);
+    json.BeginObject().Key("name").String(kernel.name);
+    json.Key("threads").BeginArray();
+    for (int threads : thread_counts) {
+      exec::SetThreadCount(threads);
       const double us = TimeUs(kernel.run, kIters);
-      if (thread_counts[ti] == 1) serial_us = us;
+      if (threads == 1) serial_us = us;
       const double speedup = us > 0.0 ? serial_us / us : 0.0;
       row.push_back(us);
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "      {\"threads\": %d, \"us\": %.1f, "
-                    "\"speedup\": %.3f}%s\n",
-                    thread_counts[ti], us, speedup,
-                    ti + 1 < thread_counts.size() ? "," : "");
-      entries += buf;
+      json.BeginObject().Key("threads").Int(threads).Key("us").Number(us);
+      json.Key("speedup").Number(speedup).EndObject();
     }
+    json.EndArray().Key("serial_us").Number(serial_us).EndObject();
     const double at4 = row.size() > 2 && row[2] > 0.0 ? serial_us / row[2]
                                                       : 0.0;
     row.push_back(at4);
     bench::PrintTableRow(kernel.name, row, 24, 12, 1);
-    char head[160];
-    std::snprintf(head, sizeof head,
-                  "    {\"name\": \"%s\", \"serial_us\": %.1f, "
-                  "\"threads\": [\n",
-                  kernel.name.c_str(), serial_us);
-    json += head;
-    json += entries;
-    json += ki + 1 < kernels.size() ? "    ]},\n" : "    ]}\n";
   }
-  json += "  ]\n}\n";
+  json.EndArray().EndObject();
   exec::SetThreadCount(previous_threads);
-  bench::MaybeWriteBenchJson("parallel", json);
+  bench::MaybeWriteBenchJson("parallel", json.str());
 }
 
 // -- ISA sweep + fusion memory bench ------------------------------------------
@@ -262,7 +251,7 @@ void RunIsaSweepAndFusionBench() {
 
   // Dispatched set first, then every other variant this binary carries.
   std::vector<const simd::MicrokernelSet*> variants = {&simd::Kernels()};
-  for (const char* name : {"portable", "avx2", "neon"}) {
+  for (const char* name : {"portable", "avx2"}) {
     const simd::MicrokernelSet* set = simd::KernelsByName(name);
     if (set != nullptr && std::string(set->name) != variants[0]->name) {
       variants.push_back(set);
@@ -277,33 +266,26 @@ void RunIsaSweepAndFusionBench() {
     bench::PrintTableHeader(columns, 24, 12);
   }
 
-  std::string json = "{\n  \"dispatched\": \"";
-  json += simd::Kernels().name;
-  json += "\",\n  \"cpu_features\": \"" + simd::CpuFeatureString() +
-          "\",\n  \"threads\": " + std::to_string(exec::ThreadCount()) +
-          ",\n  \"kernels\": [\n";
-  for (size_t ki = 0; ki < kernels.size(); ++ki) {
-    const SweepKernel& kernel = kernels[ki];
+  json::JsonWriter json;
+  json.BeginObject().Key("dispatched").String(simd::Kernels().name);
+  json.Key("cpu_features").String(simd::CpuFeatureString());
+  json.Key("threads").Int(exec::ThreadCount()).Key("kernels").BeginArray();
+  for (const SweepKernel& kernel : kernels) {
     std::vector<double> row;
-    std::string entries;
-    for (size_t vi = 0; vi < variants.size(); ++vi) {
-      simd::SetKernelsForTesting(variants[vi]);
+    json.BeginObject().Key("name").String(kernel.name);
+    json.Key("variants").BeginArray();
+    for (const simd::MicrokernelSet* variant : variants) {
+      simd::SetKernelsForTesting(variant);
       const double us = TimeUs(kernel.run, kIters);
       simd::SetKernelsForTesting(nullptr);
       row.push_back(us);
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "      {\"variant\": \"%s\", \"us\": %.1f}%s\n",
-                    variants[vi]->name, us,
-                    vi + 1 < variants.size() ? "," : "");
-      entries += buf;
+      json.BeginObject().Key("variant").String(variant->name);
+      json.Key("us").Number(us).EndObject();
     }
+    json.EndArray().EndObject();
     bench::PrintTableRow(kernel.name, row, 24, 12, 1);
-    json += "    {\"name\": \"" + kernel.name + "\", \"variants\": [\n" +
-            entries;
-    json += ki + 1 < kernels.size() ? "    ]},\n" : "    ]}\n";
   }
-  json += "  ],\n";
+  json.EndArray();
 
   // Fusion footprint: a 4-step unary/binary chain on a 1M-element tensor.
   // Eager evaluation materializes every intermediate; the fused chain
@@ -328,11 +310,11 @@ void RunIsaSweepAndFusionBench() {
               fused_peak > 0 ? static_cast<double>(eager_peak) /
                                    static_cast<double>(fused_peak)
                              : 0.0);
-  json += "  \"fusion\": {\"chain\": \"mul_scalar(sigmoid(add_scalar(mul(x, "
-          "y), 0.5)), 2.0) over 2^20 floats\", \"fused_peak_bytes\": " +
-          std::to_string(fused_peak) +
-          ", \"eager_peak_bytes\": " + std::to_string(eager_peak) + "}\n}\n";
-  bench::MaybeWriteBenchJson("kernels", json);
+  json.Key("fusion").BeginObject().Key("chain").String(
+      "mul_scalar(sigmoid(add_scalar(mul(x, y), 0.5)), 2.0) over 2^20 floats");
+  json.Key("fused_peak_bytes").Int(fused_peak);
+  json.Key("eager_peak_bytes").Int(eager_peak).EndObject().EndObject();
+  bench::MaybeWriteBenchJson("kernels", json.str());
 }
 
 // -- Roofline bench -----------------------------------------------------------

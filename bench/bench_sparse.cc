@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -33,6 +34,7 @@
 #include "tensor/sparse_ops.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
+#include "util/json_mini.h"
 #include "util/obs/obs.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -152,12 +154,12 @@ int RunSweep() {
                            "d_fwd_ms", "s_fwd_ms", "d_bwd_ms", "s_bwd_ms"},
                           18, 10);
 
-  std::string json = "{\n  \"density\": 0.05,\n  \"window_features\": " +
-                     std::to_string(kWindowFeats) + ",\n  \"sweep\": [\n";
+  json::JsonWriter json;
+  json.BeginObject().Key("density").Number(kFig1Density);
+  json.Key("window_features").Int(kWindowFeats).Key("sweep").BeginArray();
   bool gate_pass = true;
   double gate_ratio = 0.0;
-  for (size_t i = 0; i < regions.size(); ++i) {
-    const int64_t r = regions[i];
+  for (const int64_t r : regions) {
     const int64_t h_rows = r / 2;  // hyperedges: the model's default H = R/2
     const int64_t rc = r * kCategories;
     PatternData p = MakePattern(h_rows, rc, 0x5eed0000ull + r);
@@ -189,35 +191,26 @@ int RunSweep() {
          dense.bwd_ms, sparse.bwd_ms},
         18, 10);
 
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"regions\": %lld, \"hyperedges\": %lld, \"nnz\": %lld,\n"
-        "     \"dense\": {\"fwd_ms\": %.3f, \"bwd_ms\": %.3f, "
-        "\"fwd_peak_bytes\": %lld, \"total_peak_bytes\": %lld},\n"
-        "     \"sparse\": {\"fwd_ms\": %.3f, \"bwd_ms\": %.3f, "
-        "\"fwd_peak_bytes\": %lld, \"total_peak_bytes\": %lld},\n"
-        "     \"fwd_peak_ratio\": %.4f, \"bitwise_equal\": true}%s\n",
-        static_cast<long long>(r), static_cast<long long>(h_rows),
-        static_cast<long long>(nnz), dense.fwd_ms, dense.bwd_ms,
-        static_cast<long long>(dense.fwd_peak_bytes),
-        static_cast<long long>(dense.total_peak_bytes), sparse.fwd_ms,
-        sparse.bwd_ms, static_cast<long long>(sparse.fwd_peak_bytes),
-        static_cast<long long>(sparse.total_peak_bytes), ratio,
-        i + 1 < regions.size() ? "," : "");
-    json += buf;
+    json.BeginObject().Key("regions").Int(r).Key("hyperedges").Int(h_rows);
+    json.Key("nnz").Int(nnz);
+    for (const auto& [arm, stats] : {std::pair{"dense", &dense},
+                                     std::pair{"sparse", &sparse}}) {
+      json.Key(arm).BeginObject().Key("fwd_ms").Number(stats->fwd_ms);
+      json.Key("bwd_ms").Number(stats->bwd_ms);
+      json.Key("fwd_peak_bytes").Int(stats->fwd_peak_bytes);
+      json.Key("total_peak_bytes").Int(stats->total_peak_bytes).EndObject();
+    }
+    json.Key("fwd_peak_ratio").Number(ratio);
+    json.Key("bitwise_equal").Bool(true).EndObject();
   }
   obs::SetTraceEnabled(prev_trace);
 
-  char gate[256];
-  std::snprintf(gate, sizeof(gate),
-                "  ],\n  \"gate\": {\"max_regions\": %lld, "
-                "\"fwd_peak_ratio\": %.4f, \"threshold\": %.2f, "
-                "\"pass\": %s}\n}\n",
-                static_cast<long long>(regions.back()), gate_ratio,
-                kGateRatio, gate_pass ? "true" : "false");
-  json += gate;
-  bench::MaybeWriteBenchJson("sparse", json);
+  json.EndArray().Key("gate").BeginObject();
+  json.Key("max_regions").Int(regions.back());
+  json.Key("fwd_peak_ratio").Number(gate_ratio);
+  json.Key("threshold").Number(kGateRatio);
+  json.Key("pass").Bool(gate_pass).EndObject().EndObject();
+  bench::MaybeWriteBenchJson("sparse", json.str());
 
   std::printf("\nmemory gate @ R=%lld: sparse/dense forward peak = %.4f "
               "(threshold %.2f) -> %s\n",

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common.h"
-#include "util/obs/export.h"
+#include "util/json_mini.h"
 #include "util/obs/obs.h"
 #include "util/obs/run_ledger.h"
 #include "util/timer.h"
@@ -55,34 +55,30 @@ void PrintTopOps(const std::vector<obs::OpProfile>& ops) {
   }
 }
 
-std::string OpsJson(const std::vector<obs::OpProfile>& ops) {
-  std::string json = "[";
+void WriteOpsJson(const std::vector<obs::OpProfile>& ops,
+                  json::JsonWriter& json) {
+  json.BeginArray();
   const size_t shown = std::min<size_t>(ops.size(), 12);
   for (size_t i = 0; i < shown; ++i) {
     const obs::OpProfile& op = ops[i];
-    if (i > 0) json += ",";
-    json += "{\"name\":\"" + obs::JsonEscape(op.name) + "\"";
-    json += ",\"forward_calls\":" + std::to_string(op.forward_calls);
-    json += ",\"forward_us\":" + std::to_string(op.forward_us);
-    json += ",\"backward_calls\":" + std::to_string(op.backward_calls);
-    json += ",\"backward_us\":" + std::to_string(op.backward_us);
-    json += ",\"forward_flops\":" + std::to_string(op.forward_flops);
-    json += ",\"backward_flops\":" + std::to_string(op.backward_flops);
-    json += ",\"bytes_touched\":" + std::to_string(op.bytes_touched);
-    json += ",\"backward_bytes\":" + std::to_string(op.backward_bytes);
+    json.BeginObject().Key("name").String(op.name);
+    json.Key("forward_calls").Int(op.forward_calls);
+    json.Key("forward_us").Number(op.forward_us);
+    json.Key("backward_calls").Int(op.backward_calls);
+    json.Key("backward_us").Number(op.backward_us);
+    json.Key("forward_flops").Int(op.forward_flops);
+    json.Key("backward_flops").Int(op.backward_flops);
+    json.Key("bytes_touched").Int(op.bytes_touched);
+    json.Key("backward_bytes").Int(op.backward_bytes);
     const int64_t total_bytes = op.bytes_touched + op.backward_bytes;
     const double intensity =
         total_bytes > 0
             ? static_cast<double>(op.forward_flops + op.backward_flops) /
                   static_cast<double>(total_bytes)
             : 0.0;
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.6g", intensity);
-    json += ",\"intensity\":" + std::string(buf);
-    json += "}";
+    json.Key("intensity").Number(intensity).EndObject();
   }
-  json += "]";
-  return json;
+  json.EndArray();
 }
 
 void Run() {
@@ -99,7 +95,9 @@ void Run() {
   const CityBenchmark nyc = MakeNyc();
   const CityBenchmark chi = MakeChicago();
 
-  std::string models_json;
+  json::JsonWriter json;
+  json.BeginObject().Key("bench").String("table5_efficiency");
+  json.Key("models").BeginArray();
   PrintTableHeader({"Model", "NYC", "CHI"}, 14, 10);
   for (const auto& name : EfficiencyStudyModelNames()) {
     // Per-model profile: drop whatever the previous model accumulated so the
@@ -128,18 +126,17 @@ void Run() {
       PrintTopOps(ops);
     }
 
-    if (!models_json.empty()) models_json += ",";
-    models_json += "{\"name\":\"" + obs::JsonEscape(name) + "\"";
-    models_json += ",\"nyc_epoch_seconds\":" + std::to_string(nyc_seconds);
-    models_json += ",\"chi_epoch_seconds\":" + std::to_string(chi_seconds);
-    models_json += ",\"wall_micros\":" + std::to_string(wall_micros);
-    models_json += ",\"ops\":" + OpsJson(ops) + "}";
+    json.BeginObject().Key("name").String(name);
+    json.Key("nyc_epoch_seconds").Number(nyc_seconds);
+    json.Key("chi_epoch_seconds").Number(chi_seconds);
+    json.Key("wall_micros").Number(wall_micros).Key("ops");
+    WriteOpsJson(ops, json);
+    json.EndObject();
 
     std::fprintf(stderr, "[table5] %s done\n", name.c_str());
   }
-  MaybeWriteBenchJson(
-      "table5_efficiency",
-      "{\"bench\":\"table5_efficiency\",\"models\":[" + models_json + "]}");
+  json.EndArray().EndObject();
+  MaybeWriteBenchJson("table5_efficiency", json.str());
   std::printf("\nPaper shape to verify: STGCN cheapest; DCRNN and STDN most "
               "expensive;\nST-HSL mid-pack — its SSL losses add only small "
               "overhead.\n");

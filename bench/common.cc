@@ -7,8 +7,8 @@
 #include "exec/exec.h"
 #include "simd/simd.h"
 #include "util/logging.h"
+#include "util/json_mini.h"
 #include "util/obs/calibrate.h"
-#include "util/obs/export.h"
 #include "util/obs/run_ledger.h"
 
 namespace sthsl::bench {
@@ -40,24 +40,20 @@ std::string GitHashOrUnknown() {
   return hash.empty() ? "unknown" : hash;
 }
 
-// Provenance stamp spliced into every bench JSON document so a committed
-// artifact records where its numbers came from. Purely additive keys:
-// existing consumers that look up their own fields are unaffected.
-std::string ProvenanceJson() {
-  std::string json = "\"provenance\":{\"git_hash\":\"";
-  json += obs::JsonEscape(GitHashOrUnknown());
-  json += "\",\"created_utc\":\"";
-  json += obs::JsonEscape(internal_logging::FormatTimestampIso8601());
-  json += "\",\"threads\":";
-  json += std::to_string(exec::ThreadCount());
-  json += ",\"cpu_model\":\"";
-  json += obs::JsonEscape(obs::CpuModelName());
-  json += "\",\"simd\":\"";
-  json += obs::JsonEscape(simd::Kernels().name);
-  json += "\",\"cpu_features\":\"";
-  json += obs::JsonEscape(simd::CpuFeatureString());
-  json += "\"}";
-  return json;
+// The opening of an object document that records where its numbers came
+// from: '{' and a "provenance" member. MaybeWriteBenchJson splices it over
+// every bench document's opening brace. Purely additive: existing consumers
+// that look up their own fields are unaffected.
+std::string ProvenanceOpening() {
+  json::JsonWriter json;
+  json.BeginObject().Key("provenance").BeginObject();
+  json.Key("git_hash").String(GitHashOrUnknown());
+  json.Key("created_utc").String(internal_logging::FormatTimestampIso8601());
+  json.Key("threads").Int(exec::ThreadCount());
+  json.Key("cpu_model").String(obs::CpuModelName());
+  json.Key("simd").String(simd::Kernels().name);
+  json.Key("cpu_features").String(simd::CpuFeatureString()).EndObject();
+  return std::move(json).str();
 }
 
 }  // namespace
@@ -105,15 +101,14 @@ void MaybeWriteBenchJson(const std::string& name, const std::string& json) {
     std::fprintf(stderr, "[bench] cannot open %s for writing\n", path.c_str());
     return;
   }
-  // Stamp provenance right after the opening brace of object documents.
+  // Stamp provenance in place of the opening brace of object documents.
   std::string stamped = json;
   const size_t brace = stamped.find_first_not_of(" \t\r\n");
   if (brace != std::string::npos && stamped[brace] == '{') {
-    const std::string provenance = ProvenanceJson();
-    const bool empty_object =
-        stamped.find_first_not_of(" \t\r\n", brace + 1) != std::string::npos &&
-        stamped[stamped.find_first_not_of(" \t\r\n", brace + 1)] == '}';
-    stamped.insert(brace + 1, provenance + (empty_object ? "" : ","));
+    const size_t next = stamped.find_first_not_of(" \t\r\n", brace + 1);
+    const bool empty_object = next != std::string::npos && stamped[next] == '}';
+    stamped.replace(0, brace + 1,
+                    ProvenanceOpening() + (empty_object ? "" : ","));
   }
   std::fwrite(stamped.data(), 1, stamped.size(), f);
   std::fputc('\n', f);

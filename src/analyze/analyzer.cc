@@ -39,20 +39,17 @@ std::string RenderText(const AnalyzeResult& result) {
 }
 
 std::string RenderJson(const AnalyzeResult& result) {
-  using json::JsonQuote;
-  std::ostringstream out;
-  out << "{\n  \"findings\": [";
-  for (size_t i = 0; i < result.findings.size(); ++i) {
-    const Finding& f = result.findings[i];
-    out << (i ? ",\n    " : "\n    ") << "{\"path\": " << JsonQuote(f.path)
-        << ", \"line\": " << f.line << ", \"rule\": " << JsonQuote(f.rule)
-        << ", \"severity\": " << JsonQuote(SeverityName(f.severity))
-        << ", \"message\": " << JsonQuote(f.message) << "}";
+  json::JsonWriter json;
+  json.BeginObject().Key("findings").BeginArray();
+  for (const Finding& f : result.findings) {
+    json.BeginObject().Key("path").String(f.path).Key("line").Int(f.line);
+    json.Key("rule").String(f.rule);
+    json.Key("severity").String(SeverityName(f.severity));
+    json.Key("message").String(f.message).EndObject();
   }
-  out << (result.findings.empty() ? "]" : "\n  ]") << ",\n"
-      << "  \"files_scanned\": " << result.files_scanned << ",\n"
-      << "  \"suppressed\": " << result.suppressed << "\n}\n";
-  return out.str();
+  json.EndArray().Key("files_scanned").Int(result.files_scanned);
+  json.Key("suppressed").Int(result.suppressed).EndObject();
+  return std::move(json).str() + "\n";
 }
 
 const char* SarifLevel(Severity s) {
@@ -68,42 +65,37 @@ const char* SarifLevel(Severity s) {
 }
 
 std::string RenderSarif(const AnalyzeResult& result) {
-  using json::JsonQuote;
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"version\": \"2.1.0\",\n"
-      << "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/"
-         "sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n"
-      << "  \"runs\": [{\n"
-      << "    \"tool\": {\"driver\": {\n"
-      << "      \"name\": \"sthsl_analyze\",\n"
-      << "      \"informationUri\": "
-         "\"docs/correctness_tooling.md\",\n"
-      << "      \"rules\": [";
-  const auto& rules = Rules();
-  for (size_t i = 0; i < rules.size(); ++i) {
-    const RuleInfo& r = rules[i];
-    out << (i ? ",\n        " : "\n        ") << "{\"id\": " << JsonQuote(r.id)
-        << ", \"shortDescription\": {\"text\": " << JsonQuote(r.summary)
-        << "}, \"properties\": {\"pass\": " << JsonQuote(r.pass)
-        << "}, \"defaultConfiguration\": {\"level\": "
-        << JsonQuote(SarifLevel(r.severity)) << "}}";
+  json::JsonWriter json;
+  json.BeginObject().Key("version").String("2.1.0");
+  json.Key("$schema").String(
+      "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
+      "Schemata/sarif-schema-2.1.0.json");
+  json.Key("runs").BeginArray().BeginObject();
+  json.Key("tool").BeginObject().Key("driver").BeginObject();
+  json.Key("name").String("sthsl_analyze");
+  json.Key("informationUri").String("docs/correctness_tooling.md");
+  json.Key("rules").BeginArray();
+  for (const RuleInfo& r : Rules()) {
+    json.BeginObject().Key("id").String(r.id);
+    json.Key("shortDescription").BeginObject().Key("text").String(r.summary);
+    json.EndObject().Key("properties").BeginObject().Key("pass").String(r.pass);
+    json.EndObject().Key("defaultConfiguration").BeginObject();
+    json.Key("level").String(SarifLevel(r.severity)).EndObject().EndObject();
   }
-  out << "\n      ]\n    }},\n"
-      << "    \"results\": [";
-  for (size_t i = 0; i < result.findings.size(); ++i) {
-    const Finding& f = result.findings[i];
-    out << (i ? ",\n      " : "\n      ") << "{\"ruleId\": "
-        << JsonQuote(f.rule) << ", \"level\": "
-        << JsonQuote(SarifLevel(f.severity))
-        << ", \"message\": {\"text\": " << JsonQuote(f.message) << "}"
-        << ", \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
-           "{\"uri\": "
-        << JsonQuote(f.path) << "}, \"region\": {\"startLine\": "
-        << (f.line > 0 ? f.line : 1) << "}}}]}";
+  json.EndArray().EndObject().EndObject().Key("results").BeginArray();
+  for (const Finding& f : result.findings) {
+    json.BeginObject().Key("ruleId").String(f.rule);
+    json.Key("level").String(SarifLevel(f.severity));
+    json.Key("message").BeginObject().Key("text").String(f.message);
+    json.EndObject().Key("locations").BeginArray().BeginObject();
+    json.Key("physicalLocation").BeginObject();
+    json.Key("artifactLocation").BeginObject().Key("uri").String(f.path);
+    json.EndObject().Key("region").BeginObject();
+    json.Key("startLine").Int(f.line > 0 ? f.line : 1).EndObject();
+    json.EndObject().EndObject().EndArray().EndObject();
   }
-  out << (result.findings.empty() ? "]\n" : "\n    ]\n") << "  }]\n}\n";
-  return out.str();
+  json.EndArray().EndObject().EndArray().EndObject();
+  return std::move(json).str() + "\n";
 }
 
 }  // namespace

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "metrics/metrics.h"
 #include "tensor/ops.h"
 #include "util/check.h"
+#include "util/json_mini.h"
 #include "util/logging.h"
 #include "util/obs/metrics.h"
 #include "util/obs/obs.h"
@@ -17,12 +17,6 @@
 
 namespace sthsl {
 namespace {
-
-std::string JsonFloat(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
-}
 
 /// Renders the run-opening ledger record: model, dataset provenance, seeds
 /// and the full TrainConfig (as JSON literals — the obs layer does not know
@@ -46,15 +40,15 @@ obs::RunLedgerHeader MakeLedgerHeader(const std::string& model,
       {"epochs", std::to_string(config.epochs)},
       {"max_steps_per_epoch", std::to_string(config.max_steps_per_epoch)},
       {"batch_size", std::to_string(config.batch_size)},
-      {"lr", JsonFloat(config.lr)},
-      {"weight_decay", JsonFloat(config.weight_decay)},
+      {"lr", json::JsonWriter().Number(config.lr).str()},
+      {"weight_decay", json::JsonWriter().Number(config.weight_decay).str()},
       {"validation_days", std::to_string(config.validation_days)},
       {"validation_every", std::to_string(config.validation_every)},
       {"validation_max_days", std::to_string(config.validation_max_days)},
       {"early_stop_patience", std::to_string(config.early_stop_patience)},
-      {"ema_decay", JsonFloat(config.ema_decay)},
+      {"ema_decay", json::JsonWriter().Number(config.ema_decay).str()},
       {"cosine_lr", config.cosine_lr ? "true" : "false"},
-      {"lr_floor", JsonFloat(config.lr_floor)},
+      {"lr_floor", json::JsonWriter().Number(config.lr_floor).str()},
   };
   return header;
 }

@@ -1,22 +1,14 @@
 #include "serve/access_log.h"
 
-#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
+#include "util/json_mini.h"
 #include "util/logging.h"
-#include "util/obs/export.h"
 
 namespace sthsl::serve {
 namespace {
-
-// %.3f keeps microsecond records readable (nanosecond precision) without
-// locale surprises; all stage values are non-negative by construction.
-void AppendMicros(std::string* out, double us) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", us);
-  *out += buf;
-}
 
 int64_t EnvInt64(const char* name, int64_t fallback) {
   const char* value = std::getenv(name);
@@ -93,41 +85,27 @@ void AccessLog::Write(const Record& record) {
   const bool slow =
       slow_threshold_us_ > 0.0 && record.total_us > slow_threshold_us_;
 
-  std::string line;
-  line.reserve(360);
-  line += "{\"ts\":\"";
-  line += internal_logging::FormatTimestampIso8601();
-  line += "\",\"trace_id\":\"";
-  line += context.trace_id;
-  line += "\",\"span_id\":\"";
-  line += context.span_id;
-  line += "\",\"method\":\"";
-  line += obs::JsonEscape(record.method);
-  line += "\",\"path\":\"";
-  line += obs::JsonEscape(record.path);
-  line += "\",\"status\":";
-  line += std::to_string(record.status);
-  line += ",\"bytes\":";
-  line += std::to_string(record.bytes);
-  line += ",\"total_us\":";
-  AppendMicros(&line, record.total_us);
-  line += ",\"stages\":{";
+  json::JsonWriter json;
+  json.BeginObject().Key("ts");
+  json.String(internal_logging::FormatTimestampIso8601());
+  json.Key("trace_id").String(context.trace_id);
+  json.Key("span_id").String(context.span_id);
+  json.Key("method").String(record.method).Key("path").String(record.path);
+  json.Key("status").Int(record.status).Key("bytes").Int(record.bytes);
+  json.Key("total_us").Number(record.total_us).Key("stages").BeginObject();
   for (int i = 0; i < kNumStages; ++i) {
-    if (i > 0) line += ',';
-    line += '"';
-    line += StageName(static_cast<Stage>(i));
-    line += "\":";
-    AppendMicros(&line, context.stage_us[static_cast<size_t>(i)]);
+    json.Key(StageName(static_cast<Stage>(i)))
+        .Number(context.stage_us[static_cast<size_t>(i)]);
   }
-  line += '}';
+  json.EndObject();
   if (record.batch_size >= 0) {
-    line += ",\"cache_hit\":";
-    line += record.cache_hit ? "true" : "false";
-    line += ",\"batch_size\":";
-    line += std::to_string(record.batch_size);
+    json.Key("cache_hit").Bool(record.cache_hit);
+    json.Key("batch_size").Int(record.batch_size);
   }
-  if (slow) line += ",\"slow\":true";
-  line += "}\n";
+  if (slow) json.Key("slow").Bool(true);
+  json.EndObject();
+  std::string line = std::move(json).str();
+  line += '\n';
 
   {
     std::lock_guard<std::mutex> lock(mu_);

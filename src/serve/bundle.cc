@@ -1,6 +1,5 @@
 #include "serve/bundle.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,15 +11,7 @@
 namespace sthsl::serve {
 namespace {
 
-using sthsl::json::JsonQuote;
 using sthsl::json::JsonValue;
-
-/// Shortest float32 rendering that round-trips exactly through strtod.
-std::string JsonFloat(float value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(value));
-  return buf;
-}
 
 const char* PredictionSourceName(PredictionSource source) {
   switch (source) {
@@ -47,60 +38,42 @@ Status ParsePredictionSource(const std::string& name,
 }
 
 std::string RenderManifest(const BundleManifest& m) {
-  std::ostringstream out;
   const SthslConfig& c = m.config;
-  out << "{\n"
-      << "  \"bundle\": \"sthsl\",\n"
-      << "  \"schema\": " << m.schema << ",\n"
-      << "  \"model\": " << JsonQuote(m.model) << ",\n"
-      << "  \"window\": " << c.train.window << ",\n"
-      << "  \"arch\": {\n"
-      << "    \"dim\": " << c.dim << ",\n"
-      << "    \"num_hyperedges\": " << c.num_hyperedges << ",\n"
-      << "    \"kernel_size\": " << c.kernel_size << ",\n"
-      << "    \"global_temporal_layers\": " << c.global_temporal_layers
-      << ",\n"
-      << "    \"dropout\": " << JsonFloat(c.dropout) << ",\n"
-      << "    \"leaky_slope\": " << JsonFloat(c.leaky_slope) << ",\n"
-      << "    \"lambda1\": " << JsonFloat(c.lambda1) << ",\n"
-      << "    \"lambda2\": " << JsonFloat(c.lambda2) << ",\n"
-      << "    \"temperature\": " << JsonFloat(c.temperature) << ",\n"
-      << "    \"use_local_encoder\": " << (c.use_local_encoder ? "true" : "false") << ",\n"
-      << "    \"use_spatial_conv\": " << (c.use_spatial_conv ? "true" : "false") << ",\n"
-      << "    \"use_temporal_conv\": " << (c.use_temporal_conv ? "true" : "false") << ",\n"
-      << "    \"use_category_conv\": " << (c.use_category_conv ? "true" : "false") << ",\n"
-      << "    \"use_hypergraph\": " << (c.use_hypergraph ? "true" : "false") << ",\n"
-      << "    \"use_global_temporal\": " << (c.use_global_temporal ? "true" : "false") << ",\n"
-      << "    \"use_infomax\": " << (c.use_infomax ? "true" : "false") << ",\n"
-      << "    \"use_contrastive\": " << (c.use_contrastive ? "true" : "false") << ",\n"
-      << "    \"prediction_source\": \""
-      << PredictionSourceName(c.prediction_source) << "\"\n"
-      << "  },\n"
-      << "  \"dataset\": {\n"
-      << "    \"city\": " << JsonQuote(m.city) << ",\n"
-      << "    \"rows\": " << m.rows << ",\n"
-      << "    \"cols\": " << m.cols << ",\n"
-      << "    \"categories\": " << m.categories << ",\n"
-      << "    \"category_names\": [";
-  for (size_t i = 0; i < m.category_names.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << JsonQuote(m.category_names[i]);
-  }
-  out << "],\n"
-      << "    \"generator_seed\": " << m.generator_seed << "\n"
-      << "  },\n"
-      << "  \"normalization\": {\n"
-      << "    \"mean\": " << JsonFloat(m.mean) << ",\n"
-      << "    \"stddev\": " << JsonFloat(m.stddev) << "\n"
-      << "  },\n"
-      << "  \"provenance\": {\n"
-      << "    \"train_seed\": " << m.train_seed << ",\n"
-      << "    \"git_hash\": " << JsonQuote(m.git_hash) << ",\n"
-      << "    \"created_utc\": " << JsonQuote(m.created_utc) << ",\n"
-      << "    \"tool\": " << JsonQuote(m.tool) << "\n"
-      << "  },\n"
-      << "  \"weights\": " << JsonQuote(m.weights_file) << "\n"
-      << "}\n";
-  return out.str();
+  json::JsonWriter json;
+  json.BeginObject().Key("bundle").String("sthsl").Key("schema").Int(m.schema);
+  json.Key("model").String(m.model).Key("window").Int(c.train.window);
+  json.Key("arch").BeginObject().Key("dim").Int(c.dim);
+  json.Key("num_hyperedges").Int(c.num_hyperedges);
+  json.Key("kernel_size").Int(c.kernel_size);
+  json.Key("global_temporal_layers").Int(c.global_temporal_layers);
+  json.Key("dropout").Number(c.dropout);
+  json.Key("leaky_slope").Number(c.leaky_slope);
+  json.Key("lambda1").Number(c.lambda1).Key("lambda2").Number(c.lambda2);
+  json.Key("temperature").Number(c.temperature);
+  json.Key("use_local_encoder").Bool(c.use_local_encoder);
+  json.Key("use_spatial_conv").Bool(c.use_spatial_conv);
+  json.Key("use_temporal_conv").Bool(c.use_temporal_conv);
+  json.Key("use_category_conv").Bool(c.use_category_conv);
+  json.Key("use_hypergraph").Bool(c.use_hypergraph);
+  json.Key("use_global_temporal").Bool(c.use_global_temporal);
+  json.Key("use_infomax").Bool(c.use_infomax);
+  json.Key("use_contrastive").Bool(c.use_contrastive);
+  json.Key("prediction_source").String(
+      PredictionSourceName(c.prediction_source));
+  json.EndObject().Key("dataset").BeginObject().Key("city").String(m.city);
+  json.Key("rows").Int(m.rows).Key("cols").Int(m.cols);
+  json.Key("categories").Int(m.categories);
+  json.Key("category_names").BeginArray();
+  for (const std::string& name : m.category_names) json.String(name);
+  json.EndArray().Key("generator_seed").Int(m.generator_seed).EndObject();
+  json.Key("normalization").BeginObject().Key("mean").Number(m.mean);
+  json.Key("stddev").Number(m.stddev).EndObject();
+  json.Key("provenance").BeginObject().Key("train_seed").Int(m.train_seed);
+  json.Key("git_hash").String(m.git_hash);
+  json.Key("created_utc").String(m.created_utc);
+  json.Key("tool").String(m.tool).EndObject();
+  json.Key("weights").String(m.weights_file).EndObject();
+  return std::move(json).str() + "\n";
 }
 
 // -- Manifest parsing helpers: every failure names the offending field. ------

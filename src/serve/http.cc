@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "serve/access_log.h"
+#include "util/json_mini.h"
 #include "util/logging.h"
 #include "util/obs/obs.h"
 #include "util/timer.h"
@@ -183,6 +184,11 @@ HttpParse ParseHttpRequest(const std::string& buffer, size_t max_body_bytes,
   return HttpParse::kOk;
 }
 
+std::string ErrorBody(const std::string& message) {
+  return json::JsonWriter().BeginObject().Key("error").String(message)
+      .EndObject().str();
+}
+
 std::string RenderHttpResponse(const HttpResponse& response,
                                bool keep_alive) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
@@ -313,9 +319,8 @@ void HttpServer::HandleConnection(int fd) {
           }
         }
         response.status = path_known ? 405 : 404;
-        response.body = std::string("{\"error\": \"") +
-                        (path_known ? "method not allowed" : "not found") +
-                        "\"}";
+        response.body =
+            ErrorBody(path_known ? "method not allowed" : "not found");
       }
       FinalizeResponse(request, parse_us, &response);
       requests_served_.fetch_add(1);
@@ -330,9 +335,9 @@ void HttpServer::HandleConnection(int fd) {
         parsed == HttpParse::kPayloadTooLarge) {
       HttpResponse response;
       response.status = parsed == HttpParse::kBadRequest ? 400 : 413;
-      response.body = parsed == HttpParse::kBadRequest
-                          ? "{\"error\": \"malformed HTTP request\"}"
-                          : "{\"error\": \"request body too large\"}";
+      response.body = ErrorBody(parsed == HttpParse::kBadRequest
+                                    ? "malformed HTTP request"
+                                    : "request body too large");
       // `request` was never filled: the synthesized context carries fresh
       // ids and the record has no method/path to report.
       FinalizeResponse(request, parse_us, &response);

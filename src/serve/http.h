@@ -62,6 +62,9 @@ HttpParse ParseHttpRequest(const std::string& buffer, size_t max_body_bytes,
 /// Serializes `response` with Content-Length and Connection headers.
 std::string RenderHttpResponse(const HttpResponse& response, bool keep_alive);
 
+/// `{"error":<message>}`, the body of every error response.
+std::string ErrorBody(const std::string& message);
+
 /// Reason phrase for the handful of status codes the server emits.
 const char* HttpStatusReason(int status);
 

@@ -1,7 +1,6 @@
 #include "serve/service.h"
 
 #include <cctype>
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "simd/simd.h"
 #include "serve/trace.h"
 #include "util/json_mini.h"
+#include "util/obs/export.h"
 #include "util/obs/log_histogram.h"
 #include "util/obs/metrics.h"
 #include "util/obs/obs.h"
@@ -19,25 +19,13 @@
 namespace sthsl::serve {
 namespace {
 
-using sthsl::json::JsonQuote;
 using sthsl::json::JsonValue;
-
-std::string FloatText(float value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(value));
-  return buf;
-}
-
-std::string DoubleText(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
+using sthsl::json::JsonWriter;
 
 HttpResponse ErrorResponse(int status, const std::string& message) {
   HttpResponse response;
   response.status = status;
-  response.body = "{\"error\": " + JsonQuote(message) + "}";
+  response.body = ErrorBody(message);
   return response;
 }
 
@@ -109,17 +97,29 @@ std::string PrometheusName(const std::string& name) {
   return out;
 }
 
+template <typename T>
 void PrometheusScalar(std::ostringstream& body, const std::string& name,
-                      const char* type, const std::string& value) {
+                      const char* type, T value) {
   body << "# TYPE " << name << ' ' << type << '\n'
        << name << ' ' << value << '\n';
 }
 
-/// Execution-pool telemetry as a JSON object, embedded in both /statusz and
-/// the /metrics JSON document. Worker utilization is busy-time over uptime
-/// across started workers (callers excluded — their "idle" time is the rest
-/// of the request, not pool overhead).
-std::string ExecStatsJson() {
+/// The "cache", "batcher" and "exec" members that both /metrics and
+/// /statusz carry. Worker utilization is busy-time over uptime across
+/// started workers (callers excluded — their "idle" time is the rest of the
+/// request, not pool overhead).
+void WriteServingStats(const InferenceEngine& engine, JsonWriter& json) {
+  const PredictionCache::Stats cache = engine.cache_stats();
+  json.Key("cache").BeginObject().Key("hits").Int(cache.hits);
+  json.Key("misses").Int(cache.misses).Key("evictions").Int(cache.evictions);
+  json.Key("entries").Int(cache.entries).EndObject();
+  const MicroBatcher::Stats batcher = engine.batcher_stats();
+  json.Key("batcher").BeginObject().Key("batches").Int(batcher.batches);
+  json.Key("requests").Int(batcher.requests);
+  json.Key("size_flushes").Int(batcher.size_flushes);
+  json.Key("timeout_flushes").Int(batcher.timeout_flushes);
+  json.Key("drain_flushes").Int(batcher.drain_flushes).EndObject();
+
   const exec::PoolStats stats = exec::GetPoolStats();
   double worker_busy_us = 0.0;
   double worker_uptime_us = 0.0;
@@ -129,16 +129,14 @@ std::string ExecStatsJson() {
   }
   const double utilization =
       worker_uptime_us > 0.0 ? worker_busy_us / worker_uptime_us : 0.0;
-  std::ostringstream out;
-  out << "{\"threads\": " << stats.thread_count
-      << ", \"workers_started\": " << stats.workers_started
-      << ", \"regions_launched\": " << stats.regions_launched
-      << ", \"chunks_executed\": " << stats.chunks_executed
-      << ", \"queue_depth\": " << stats.queue_depth
-      << ", \"max_queue_depth\": " << stats.max_queue_depth
-      << ", \"busy_us\": " << DoubleText(stats.total_busy_us())
-      << ", \"worker_utilization\": " << DoubleText(utilization) << "}";
-  return out.str();
+  json.Key("exec").BeginObject().Key("threads").Int(stats.thread_count);
+  json.Key("workers_started").Int(stats.workers_started);
+  json.Key("regions_launched").Int(stats.regions_launched);
+  json.Key("chunks_executed").Int(stats.chunks_executed);
+  json.Key("queue_depth").Int(stats.queue_depth);
+  json.Key("max_queue_depth").Int(stats.max_queue_depth);
+  json.Key("busy_us").Number(stats.total_busy_us());
+  json.Key("worker_utilization").Number(utilization).EndObject();
 }
 
 }  // namespace
@@ -239,18 +237,15 @@ HttpResponse PredictService::HandlePredict(const HttpRequest& request) {
   context.AddStage(Stage::kInference, p.inference_us);
 
   Timer serialize_timer;
-  std::string body = "{\"model\": " + JsonQuote(manifest.model) +
-                     ", \"shape\": [" + std::to_string(p.values.Size(0)) +
-                     ", " + std::to_string(p.values.Size(1)) +
-                     "], \"prediction\": [";
-  const std::vector<float>& data = p.values.Data();
-  for (size_t i = 0; i < data.size(); ++i) {
-    body += (i == 0 ? "" : ", ") + FloatText(data[i]);
-  }
-  body += "], \"cache_hit\": ";
-  body += p.cache_hit ? "true" : "false";
-  body += ", \"latency_us\": " + DoubleText(p.latency_us);
-  body += ", \"trace_id\": " + JsonQuote(context.trace_id) + "}";
+  JsonWriter json;
+  json.BeginObject().Key("model").String(manifest.model);
+  json.Key("shape").BeginArray().Int(p.values.Size(0)).Int(p.values.Size(1));
+  json.EndArray().Key("prediction").BeginArray();
+  for (float value : p.values.Data()) json.Number(value);
+  json.EndArray().Key("cache_hit").Bool(p.cache_hit);
+  json.Key("latency_us").Number(p.latency_us);
+  json.Key("trace_id").String(context.trace_id).EndObject();
+  std::string body = std::move(json).str();
   context.AddStage(Stage::kSerialize, serialize_timer.ElapsedMicros());
   PublishStages(context, t0_us);
 
@@ -265,13 +260,13 @@ HttpResponse PredictService::HandlePredict(const HttpRequest& request) {
 HttpResponse PredictService::HandleHealth(const HttpRequest& request) {
   const BundleManifest& m = engine_->manifest();
   HttpResponse response;
-  response.body = "{\"status\": \"ok\", \"model\": " + JsonQuote(m.model) +
-                  ", \"city\": " + JsonQuote(m.city) +
-                  ", \"rows\": " + std::to_string(m.rows) +
-                  ", \"cols\": " + std::to_string(m.cols) +
-                  ", \"categories\": " + std::to_string(m.categories) +
-                  ", \"window\": " + std::to_string(m.config.train.window) +
-                  ", \"git_hash\": " + JsonQuote(m.git_hash) + "}";
+  JsonWriter json;
+  json.BeginObject().Key("status").String("ok").Key("model").String(m.model);
+  json.Key("city").String(m.city).Key("rows").Int(m.rows);
+  json.Key("cols").Int(m.cols).Key("categories").Int(m.categories);
+  json.Key("window").Int(m.config.train.window);
+  json.Key("git_hash").String(m.git_hash).EndObject();
+  response.body = std::move(json).str();
   return response;
 }
 
@@ -279,9 +274,6 @@ HttpResponse PredictService::HandleMetrics(const HttpRequest& request) {
   // Refresh the exec/* gauges from the pool's live counters so every scrape
   // sees current thread-pool telemetry in both exposition formats.
   exec::PublishPoolStats();
-  auto& registry = obs::MetricsRegistry::Global();
-  const PredictionCache::Stats cache = engine_->cache_stats();
-  const MicroBatcher::Stats batcher = engine_->batcher_stats();
 
   // Content negotiation: Prometheus text exposition when the client asks
   // for text/plain or OpenMetrics; the JSON document stays the default so
@@ -291,110 +283,67 @@ HttpResponse PredictService::HandleMetrics(const HttpRequest& request) {
       accept.find("text/plain") != std::string::npos ||
       accept.find("openmetrics") != std::string::npos;
   if (prometheus) {
+    auto& registry = obs::MetricsRegistry::Global();
+    const PredictionCache::Stats cache = engine_->cache_stats();
+    const MicroBatcher::Stats batcher = engine_->batcher_stats();
     std::ostringstream body;
+    body.precision(17);
     for (const auto& [name, value] : registry.Counters()) {
-      PrometheusScalar(body, PrometheusName(name), "counter",
-                       std::to_string(value));
+      PrometheusScalar(body, PrometheusName(name), "counter", value);
     }
     for (const auto& [name, value] : registry.Gauges()) {
-      PrometheusScalar(body, PrometheusName(name), "gauge",
-                       DoubleText(value));
+      PrometheusScalar(body, PrometheusName(name), "gauge", value);
     }
     for (const auto& [name, s] : registry.Histograms()) {
       const std::string metric = PrometheusName(name);
       body << "# TYPE " << metric << " summary\n"
-           << metric << "{quantile=\"0.5\"} " << DoubleText(s.p50) << '\n'
-           << metric << "{quantile=\"0.95\"} " << DoubleText(s.p95) << '\n'
-           << metric << "{quantile=\"0.99\"} " << DoubleText(s.p99) << '\n'
-           << metric << "_sum "
-           << DoubleText(s.mean * static_cast<double>(s.count)) << '\n'
+           << metric << "{quantile=\"0.5\"} " << s.p50 << '\n'
+           << metric << "{quantile=\"0.95\"} " << s.p95 << '\n'
+           << metric << "{quantile=\"0.99\"} " << s.p99 << '\n'
+           << metric << "_sum " << s.mean * static_cast<double>(s.count)
+           << '\n'
            << metric << "_count " << s.count << '\n';
     }
-    PrometheusScalar(body, "sthsl_serve_cache_entries", "gauge",
-                     std::to_string(cache.entries));
+    PrometheusScalar(body, "sthsl_serve_cache_entries", "gauge", cache.entries);
     PrometheusScalar(body, "sthsl_serve_cache_evictions", "counter",
-                     std::to_string(cache.evictions));
+                     cache.evictions);
     PrometheusScalar(body, "sthsl_serve_batcher_batches", "counter",
-                     std::to_string(batcher.batches));
+                     batcher.batches);
     PrometheusScalar(body, "sthsl_serve_batcher_requests", "counter",
-                     std::to_string(batcher.requests));
+                     batcher.requests);
     HttpResponse response;
     response.content_type = "text/plain; version=0.0.4";
     response.body = body.str();
     return response;
   }
 
-  std::ostringstream body;
-  body << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : registry.Counters()) {
-    body << (first ? "" : ", ") << JsonQuote(name) << ": " << value;
-    first = false;
-  }
-  body << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : registry.Gauges()) {
-    body << (first ? "" : ", ") << JsonQuote(name) << ": "
-         << DoubleText(value);
-    first = false;
-  }
-  body << "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, snapshot] : registry.Histograms()) {
-    body << (first ? "" : ", ") << JsonQuote(name) << ": {\"count\": "
-         << snapshot.count << ", \"min\": " << DoubleText(snapshot.min)
-         << ", \"max\": " << DoubleText(snapshot.max)
-         << ", \"mean\": " << DoubleText(snapshot.mean)
-         << ", \"p50\": " << DoubleText(snapshot.p50)
-         << ", \"p95\": " << DoubleText(snapshot.p95)
-         << ", \"p99\": " << DoubleText(snapshot.p99) << "}";
-    first = false;
-  }
-  body << "}, \"cache\": {\"hits\": " << cache.hits
-       << ", \"misses\": " << cache.misses
-       << ", \"evictions\": " << cache.evictions
-       << ", \"entries\": " << cache.entries
-       << "}, \"batcher\": {\"batches\": " << batcher.batches
-       << ", \"requests\": " << batcher.requests
-       << ", \"size_flushes\": " << batcher.size_flushes
-       << ", \"timeout_flushes\": " << batcher.timeout_flushes
-       << ", \"drain_flushes\": " << batcher.drain_flushes
-       << "}, \"exec\": " << ExecStatsJson() << "}";
+  JsonWriter json;
+  json.BeginObject();
+  obs::WriteRegistryJson(json);
+  WriteServingStats(*engine_, json);
+  json.EndObject();
   HttpResponse response;
-  response.body = body.str();
+  response.body = std::move(json).str();
   return response;
 }
 
 HttpResponse PredictService::HandleStatusz(const HttpRequest& request) {
   const BundleManifest& m = engine_->manifest();
-  const PredictionCache::Stats cache = engine_->cache_stats();
-  const MicroBatcher::Stats batcher = engine_->batcher_stats();
-  std::ostringstream body;
-  body << "{\"uptime_s\": " << DoubleText(uptime_.ElapsedMicros() / 1e6)
-       << ", \"bundle\": {\"model\": " << JsonQuote(m.model)
-       << ", \"city\": " << JsonQuote(m.city)
-       << ", \"git_hash\": " << JsonQuote(m.git_hash)
-       << ", \"created_utc\": " << JsonQuote(m.created_utc)
-       << ", \"tool\": " << JsonQuote(m.tool)
-       << "}, \"exec_threads\": " << exec::ThreadCount()
-       << ", \"simd\": {\"kernels\": " << JsonQuote(simd::Kernels().name)
-       << ", \"cpu_features\": " << JsonQuote(simd::CpuFeatureString())
-       << "}, \"trace_enabled\": "
-       << (obs::TraceEnabled() ? "true" : "false")
-       << ", \"access_log_enabled\": "
-       << (AccessLog::Global().enabled() ? "true" : "false")
-       << ", \"cache\": {\"hits\": " << cache.hits
-       << ", \"misses\": " << cache.misses
-       << ", \"evictions\": " << cache.evictions
-       << ", \"entries\": " << cache.entries
-       << "}, \"batcher\": {\"batches\": " << batcher.batches
-       << ", \"requests\": " << batcher.requests
-       << ", \"size_flushes\": " << batcher.size_flushes
-       << ", \"timeout_flushes\": " << batcher.timeout_flushes
-       << ", \"drain_flushes\": " << batcher.drain_flushes
-       << "}, \"exec\": " << ExecStatsJson() << "}";
+  JsonWriter json;
+  json.BeginObject().Key("uptime_s").Number(uptime_.ElapsedMicros() / 1e6);
+  json.Key("bundle").BeginObject().Key("model").String(m.model);
+  json.Key("city").String(m.city).Key("git_hash").String(m.git_hash);
+  json.Key("created_utc").String(m.created_utc);
+  json.Key("tool").String(m.tool).EndObject();
+  json.Key("exec_threads").Int(exec::ThreadCount());
+  json.Key("simd").BeginObject().Key("kernels").String(simd::Kernels().name);
+  json.Key("cpu_features").String(simd::CpuFeatureString()).EndObject();
+  json.Key("trace_enabled").Bool(obs::TraceEnabled());
+  json.Key("access_log_enabled").Bool(AccessLog::Global().enabled());
+  WriteServingStats(*engine_, json);
+  json.EndObject();
   HttpResponse response;
-  response.body = body.str();
+  response.body = std::move(json).str();
   return response;
 }
 

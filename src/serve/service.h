@@ -26,7 +26,7 @@ namespace sthsl::serve {
 /// timings into serve/stage/* LogHistograms, the chrome trace ("serve"
 /// category) and the access log. See docs/observability.md.
 ///
-/// Floats are rendered with %.9g, which round-trips float32 exactly — a
+/// Floats are rendered as %.9g would, which round-trips float32 exactly — a
 /// client parsing the JSON recovers bit-identical predictions. The handlers
 /// are plain functions of HttpRequest so tests can drive them without
 /// sockets. See docs/serving.md for the full contract.

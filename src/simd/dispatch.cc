@@ -25,8 +25,6 @@ const MicrokernelSet* AvailableAvx2() {
   return Avx2KernelsOrNull();
 }
 
-const MicrokernelSet* AvailableNeon() { return NeonKernelsOrNull(); }
-
 const MicrokernelSet* SelectKernels() {
   const char* env = std::getenv("STHSL_SIMD");
   if (env != nullptr && env[0] != '\0') {
@@ -39,7 +37,6 @@ const MicrokernelSet* SelectKernels() {
     return &PortableKernels();
   }
   if (const MicrokernelSet* s = AvailableAvx2()) return s;
-  if (const MicrokernelSet* s = AvailableNeon()) return s;
   return &PortableKernels();
 }
 
@@ -54,8 +51,6 @@ CpuFeatures DetectCpuFeatures() {
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
-#elif defined(__aarch64__)
-  f.neon = true;
 #endif
   return f;
 }
@@ -70,7 +65,6 @@ std::string CpuFeatureString() {
   if (f.avx2) append("avx2");
   if (f.fma) append("fma");
   if (f.avx512f) append("avx512f");
-  if (f.neon) append("neon");
   if (s.empty()) s = "scalar";
   return s;
 }
@@ -78,7 +72,6 @@ std::string CpuFeatureString() {
 const MicrokernelSet* KernelsByName(const std::string& name) {
   if (name == "portable") return &PortableKernels();
   if (name == "avx2") return AvailableAvx2();
-  if (name == "neon") return AvailableNeon();
   return nullptr;
 }
 

@@ -3,7 +3,7 @@
 //
 // Multiply-accumulate chains use std::fma so each element sees exactly one
 // rounding per step, the same as the fused vector instructions in the AVX2
-// and NEON sets. Reductions accumulate into 8 explicit lanes and fold them
+// set. Reductions accumulate into 8 explicit lanes and fold them
 // through the canonical pairwise tree; the lane assignment (j mod 8) and the
 // fold order are part of the contract, not an implementation detail.
 

@@ -5,9 +5,9 @@
 //
 // Every inner loop of the tensor tier (GEMM register tiles, conv axpy/dot,
 // reductions, elementwise strips, optimizer updates) calls through the
-// MicrokernelSet selected here once at startup: AVX2+FMA on x86-64, NEON on
-// aarch64, and a portable scalar fallback everywhere. The STHSL_SIMD
-// environment variable (avx2 | neon | portable) overrides the automatic
+// MicrokernelSet selected here once at startup: AVX2+FMA on x86-64 and a
+// portable scalar fallback everywhere. The STHSL_SIMD
+// environment variable (avx2 | portable) overrides the automatic
 // choice for A/B comparisons and debugging; tests can swap sets at runtime
 // with SetKernelsForTesting.
 //
@@ -30,8 +30,7 @@
 //        c0=b0+b2  c1=b1+b3
 //        result = (c0 + c1) + tail
 //    The portable kernel implements this tree explicitly; it is exactly the
-//    lane fold the 256-bit (and paired 128-bit NEON) horizontal reduction
-//    performs.
+//    lane fold the 256-bit horizontal reduction performs.
 //  - Transcendentals (exp, log, tanh, pow) are never vectorized: all
 //    variants call scalar libm so polynomial-approximation differences
 //    between SIMD math libraries can't leak into checkpoints.
@@ -49,18 +48,17 @@
 namespace sthsl::simd {
 
 /// CPU features detected at startup (x86: cpuid via the compiler builtin;
-/// aarch64: NEON is architecturally guaranteed).
+/// none elsewhere).
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
   bool avx512f = false;  // detected and reported; no avx512 kernel set yet
-  bool neon = false;
 };
 
 /// Detects the features of the executing CPU.
 CpuFeatures DetectCpuFeatures();
 
-/// Comma-separated detected feature flags, e.g. "avx2,fma" or "neon";
+/// Comma-separated detected feature flags, e.g. "avx2,fma";
 /// "scalar" when none. Stamped into bench provenance and /statusz.
 std::string CpuFeatureString();
 
@@ -72,7 +70,7 @@ inline constexpr int64_t kGemmTileCols = 16;
 /// One ISA variant of the microkernel layer. All buffers are float32; `n`
 /// counts elements. Function pointers are never null.
 struct MicrokernelSet {
-  /// Variant name: "portable", "avx2" or "neon".
+  /// Variant name: "portable" or "avx2".
   const char* name;
 
   /// GEMM register tile: for each output element (i, j) with i < mr, j < nr,
@@ -132,7 +130,7 @@ struct MicrokernelSet {
 /// The portable scalar reference set (always available on every target).
 const MicrokernelSet& PortableKernels();
 
-/// Looks up a variant by name ("portable", "avx2", "neon"). Returns nullptr
+/// Looks up a variant by name ("portable", "avx2"). Returns nullptr
 /// for unknown names and for variants not compiled into this binary.
 const MicrokernelSet* KernelsByName(const std::string& name);
 

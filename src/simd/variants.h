@@ -10,7 +10,6 @@
 namespace sthsl::simd {
 
 const MicrokernelSet* Avx2KernelsOrNull();
-const MicrokernelSet* NeonKernelsOrNull();
 
 }  // namespace sthsl::simd
 

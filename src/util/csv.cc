@@ -80,17 +80,17 @@ Result<CsvTable> ReadCsv(const std::string& path) {
   }
   CsvTable table;
   std::string line;
-  bool first = true;
+  bool have_header = false;
   while (std::getline(file, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (first) {
+    if (!have_header) {
       table.header = SplitCsvLine(line);
-      first = false;
+      have_header = true;
     } else {
       table.rows.push_back(SplitCsvLine(line));
     }
   }
-  if (first) return Status::IoError("empty csv file: " + path);
+  if (!have_header) return Status::IoError("empty csv file: " + path);
   return table;
 }
 

@@ -1,59 +1,140 @@
 #ifndef STHSL_UTIL_JSON_MINI_H_
 #define STHSL_UTIL_JSON_MINI_H_
 
-// Minimal header-only JSON toolkit shared by the serving subsystem
-// (`sthsl::serve`) and the dependency-free tools (`sthsl_trace_check`,
-// `sthsl_report`, `sthsl_loadgen`): a recursive-descent parser plus the
-// string-emission helpers every JSON writer in the repo needs. Header-only
-// on purpose: the validators must stay buildable and trustworthy without
-// linking the library they are checking. Structure checking only — \u
-// escapes are not decoded (they parse but map to '?').
+// Minimal header-only JSON toolkit shared by every layer and by the
+// dependency-free tools (`sthsl_trace_check`, `sthsl_report`,
+// `sthsl_loadgen`): the one writer every JSON document in the repo goes
+// through, plus a recursive-descent parser. Header-only on purpose: the
+// validators must stay buildable and trustworthy without linking the
+// library they are checking.
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sthsl::json {
 
-/// Escapes `text` for embedding inside a JSON string literal: quote and
-/// backslash get their two-character forms, the common control characters
-/// use their shorthand escapes, and every other code point below 0x20 is
-/// emitted as \u00XX (raw control bytes in the output would make the
-/// emitted document unparseable).
-inline std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// Streaming JSON writer with one fixed format: compact (no whitespace),
+/// separators placed automatically, doubles in their shortest round-trip
+/// form, floats as `%.9g` (which round-trips float32 exactly), and
+/// non-finite numbers as `null` (JSON has no NaN or Inf). Every call
+/// returns the writer, so members chain:
+///
+///   JsonWriter json;
+///   json.BeginObject().Key("loss").Number(loss).Key("ok").Bool(ok);
+///   json.EndObject();
+///
+/// Calls must nest correctly; the writer does not check structure.
+class JsonWriter {
+ public:
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+
+  /// Object member name; the next call writes its value.
+  JsonWriter& Key(std::string_view key) {
+    String(key);
+    out_ += ':';
+    comma_ = false;
+    return *this;
   }
-  return out;
-}
+
+  /// String value: quote and backslash get their two-character escapes,
+  /// control characters their shorthand or \u00XX form.
+  JsonWriter& String(std::string_view text) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    Separate();
+    out_ += '"';
+    for (char c : text) {
+      switch (c) {
+        case '"': out_ += "\\\""; break;
+        case '\\': out_ += "\\\\"; break;
+        case '\b': out_ += "\\b"; break;
+        case '\f': out_ += "\\f"; break;
+        case '\n': out_ += "\\n"; break;
+        case '\r': out_ += "\\r"; break;
+        case '\t': out_ += "\\t"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            out_ += "\\u00";
+            out_ += kHex[(c >> 4) & 0xF];
+            out_ += kHex[c & 0xF];
+          } else {
+            out_ += c;
+          }
+      }
+    }
+    out_ += '"';
+    comma_ = true;
+    return *this;
+  }
+
+  JsonWriter& Int(std::integral auto value) {
+    char buf[24];
+    return Raw({buf, std::to_chars(buf, buf + sizeof buf, value).ptr});
+  }
+
+  JsonWriter& Number(double value) {
+    if (!std::isfinite(value)) return Null();
+    char buf[32];
+    return Raw({buf, std::to_chars(buf, buf + sizeof buf, value).ptr});
+  }
+
+  JsonWriter& Number(float value) {
+    if (!std::isfinite(value)) return Null();
+    char buf[32];
+    return Raw({buf, std::to_chars(buf, buf + sizeof buf, value,
+                                   std::chars_format::general, 9)
+                         .ptr});
+  }
+
+  JsonWriter& Bool(bool value) { return Raw(value ? "true" : "false"); }
+  JsonWriter& Null() { return Raw("null"); }
+
+  /// A complete, already-rendered JSON value, spliced in verbatim.
+  JsonWriter& Raw(std::string_view json) {
+    Separate();
+    out_ += json;
+    comma_ = true;
+    return *this;
+  }
+
+  const std::string& str() const& { return out_; }
+  std::string str() && { return std::move(out_); }
+
+ private:
+  void Separate() {
+    if (comma_) out_ += ',';
+  }
+  JsonWriter& Open(char bracket) {
+    Separate();
+    out_ += bracket;
+    comma_ = false;
+    return *this;
+  }
+  JsonWriter& Close(char bracket) {
+    out_ += bracket;
+    comma_ = true;
+    return *this;
+  }
+
+  std::string out_;
+  bool comma_ = false;  // the next key or value needs a leading ','
+};
 
 /// `text` as a complete JSON string literal, quotes included.
-inline std::string JsonQuote(const std::string& text) {
-  return "\"" + JsonEscape(text) + "\"";
+inline std::string JsonQuote(std::string_view text) {
+  return JsonWriter().String(text).str();
 }
 
 struct JsonValue {
@@ -197,15 +278,15 @@ class JsonParser {
         case 'r': *out += '\r'; break;
         case 't': *out += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > input_.size()) return Fail("truncated \\u escape");
-          for (int i = 0; i < 4; ++i) {
-            if (!std::isxdigit(static_cast<unsigned char>(input_[pos_ + i]))) {
-              return Fail("invalid \\u escape");
-            }
+          unsigned code = 0;
+          const char* digits = input_.data() + pos_;
+          if (pos_ + 4 > input_.size() ||
+              std::from_chars(digits, digits + 4, code, 16).ptr !=
+                  digits + 4) {
+            return Fail("invalid \\u escape");
           }
-          // Structure checking only: the code point value is not needed.
-          *out += '?';
           pos_ += 4;
+          AppendUtf8(code, out);
           break;
         }
         default:
@@ -213,6 +294,21 @@ class JsonParser {
       }
     }
     return Fail("unterminated string");
+  }
+
+  // Encodes one \u code unit as UTF-8. Surrogate halves are encoded on
+  // their own rather than paired; nothing the repo writes produces them.
+  static void AppendUtf8(unsigned code, std::string* out) {
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xC0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      *out += static_cast<char>(0xE0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    }
   }
 
   bool ParseArray(JsonValue* out) {

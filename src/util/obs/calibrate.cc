@@ -4,7 +4,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -194,13 +193,14 @@ bool SaveMachinePeaks(const std::string& path, const MachinePeaks& peaks) {
   MakeDirs(DirnameOf(path));
   std::ofstream file(path, std::ios::trunc);
   if (!file.good()) return false;
-  char numbers[128];
-  std::snprintf(numbers, sizeof numbers,
-                "\"gflops_1t\":%.6g,\"gbps_1t\":%.6g,\"hardware_threads\":%d",
-                peaks.gflops_1t, peaks.gbps_1t, peaks.hardware_threads);
-  file << "{\"schema\":2,\"cpu_model\":" << json::JsonQuote(peaks.cpu_model)
-       << "," << numbers
-       << ",\"created_utc\":" << json::JsonQuote(peaks.created_utc) << "}\n";
+  json::JsonWriter json;
+  json.BeginObject().Key("schema").Int(2);
+  json.Key("cpu_model").String(peaks.cpu_model);
+  json.Key("gflops_1t").Number(peaks.gflops_1t);
+  json.Key("gbps_1t").Number(peaks.gbps_1t);
+  json.Key("hardware_threads").Int(peaks.hardware_threads);
+  json.Key("created_utc").String(peaks.created_utc).EndObject();
+  file << json.str() << "\n";
   return file.good();
 }
 

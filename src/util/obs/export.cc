@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <sstream>
 #include <vector>
 
 #include "util/obs/metrics.h"
@@ -30,40 +29,23 @@ std::vector<ScopeProfile> SortedScopes() {
   return scopes;
 }
 
-}  // namespace
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+// Writes `text` plus a trailing newline to `path`; `what` names the
+// artifact in errors.
+Status WriteJsonFile(const std::string& path, const std::string& text,
+                     const char* what) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) {
+    return Status::IoError(std::string("cannot open ") + what + " " + path);
   }
-  return out;
+  std::fwrite(text.data(), 1, text.size(), file);
+  std::fputc('\n', file);
+  if (std::fclose(file) != 0) {
+    return Status::IoError(std::string("error writing ") + what + " " + path);
+  }
+  return Status::Ok();
 }
+
+}  // namespace
 
 void PrintObsSummary(std::FILE* out) {
   const std::vector<OpProfile> ops = SortedOps();
@@ -151,97 +133,76 @@ void PrintObsSummary(std::FILE* out) {
 }
 
 Status WriteChromeTrace(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::IoError("cannot open trace output " + path);
-  }
-  std::fprintf(file,
-               "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":"
-               "\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":0,"
-               "\"args\":{\"name\":\"sthsl\"}}");
+  json::JsonWriter json;
+  json.BeginObject().Key("displayTimeUnit").String("ms");
+  json.Key("traceEvents").BeginArray();
+  json.BeginObject().Key("name").String("process_name").Key("ph").String("M");
+  json.Key("ts").Int(0).Key("pid").Int(1).Key("tid").Int(0);
+  json.Key("args").BeginObject().Key("name").String("sthsl").EndObject();
+  json.EndObject();
   for (const TraceEvent& event : TraceEvents()) {
-    std::fprintf(file,
-                 ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                 "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d}",
-                 JsonEscape(event.name).c_str(), event.category, event.ts_us,
-                 event.dur_us, event.tid);
+    json.BeginObject().Key("name").String(event.name);
+    json.Key("cat").String(event.category).Key("ph").String("X");
+    json.Key("ts").Number(event.ts_us).Key("dur").Number(event.dur_us);
+    json.Key("pid").Int(1).Key("tid").Int(event.tid).EndObject();
   }
-  std::fprintf(file, "]}\n");
-  if (std::fclose(file) != 0) {
-    return Status::IoError("error writing trace output " + path);
+  json.EndArray().EndObject();
+  return WriteJsonFile(path, json.str(), "trace output");
+}
+
+void WriteRegistryJson(json::JsonWriter& json) {
+  auto& registry = MetricsRegistry::Global();
+  json.Key("counters").BeginObject();
+  for (const auto& [name, value] : registry.Counters()) {
+    json.Key(name).Int(value);
   }
-  return Status::Ok();
+  json.EndObject().Key("gauges").BeginObject();
+  for (const auto& [name, value] : registry.Gauges()) {
+    json.Key(name).Number(value);
+  }
+  json.EndObject().Key("histograms").BeginObject();
+  for (const auto& [name, s] : registry.Histograms()) {
+    json.Key(name).BeginObject().Key("count").Int(s.count);
+    json.Key("min").Number(s.min).Key("max").Number(s.max);
+    json.Key("mean").Number(s.mean).Key("p50").Number(s.p50);
+    json.Key("p95").Number(s.p95).Key("p99").Number(s.p99).EndObject();
+  }
+  json.EndObject();
 }
 
 std::string MetricsJson() {
-  std::ostringstream json;
-  json.precision(10);
-  auto& registry = MetricsRegistry::Global();
-
-  json << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : registry.Counters()) {
-    json << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
-    first = false;
-  }
-  json << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : registry.Gauges()) {
-    json << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
-    first = false;
-  }
-  json << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, s] : registry.Histograms()) {
-    json << (first ? "" : ",") << "\"" << JsonEscape(name)
-         << "\":{\"count\":" << s.count << ",\"min\":" << s.min
-         << ",\"max\":" << s.max << ",\"mean\":" << s.mean
-         << ",\"p50\":" << s.p50 << ",\"p95\":" << s.p95
-         << ",\"p99\":" << s.p99 << "}";
-    first = false;
-  }
-  json << "},\"ops\":[";
-  first = true;
+  json::JsonWriter json;
+  json.BeginObject();
+  WriteRegistryJson(json);
+  json.Key("ops").BeginArray();
   for (const OpProfile& op : SortedOps()) {
-    json << (first ? "" : ",") << "{\"name\":\"" << JsonEscape(op.name)
-         << "\",\"forward_calls\":" << op.forward_calls
-         << ",\"forward_us\":" << op.forward_us
-         << ",\"backward_calls\":" << op.backward_calls
-         << ",\"backward_us\":" << op.backward_us
-         << ",\"bytes_touched\":" << op.bytes_touched
-         << ",\"forward_flops\":" << op.forward_flops
-         << ",\"backward_flops\":" << op.backward_flops
-         << ",\"backward_bytes\":" << op.backward_bytes << "}";
-    first = false;
+    json.BeginObject().Key("name").String(op.name);
+    json.Key("forward_calls").Int(op.forward_calls);
+    json.Key("forward_us").Number(op.forward_us);
+    json.Key("backward_calls").Int(op.backward_calls);
+    json.Key("backward_us").Number(op.backward_us);
+    json.Key("bytes_touched").Int(op.bytes_touched);
+    json.Key("forward_flops").Int(op.forward_flops);
+    json.Key("backward_flops").Int(op.backward_flops);
+    json.Key("backward_bytes").Int(op.backward_bytes).EndObject();
   }
-  json << "],\"scopes\":[";
-  first = true;
+  json.EndArray().Key("scopes").BeginArray();
   for (const ScopeProfile& scope : SortedScopes()) {
-    json << (first ? "" : ",") << "{\"name\":\"" << JsonEscape(scope.name)
-         << "\",\"calls\":" << scope.calls
-         << ",\"total_us\":" << scope.total_us
-         << ",\"busy_us\":" << scope.busy_us
-         << ",\"slices\":" << scope.slices << "}";
-    first = false;
+    json.BeginObject().Key("name").String(scope.name);
+    json.Key("calls").Int(scope.calls);
+    json.Key("total_us").Number(scope.total_us);
+    json.Key("busy_us").Number(scope.busy_us);
+    json.Key("slices").Int(scope.slices).EndObject();
   }
-  json << "],\"tensor_memory\":{\"live_bytes\":" << LiveTensorBytes()
-       << ",\"peak_bytes\":" << PeakTensorBytes()
-       << "},\"dropped_trace_events\":" << DroppedTraceEvents() << "}";
-  return json.str();
+  json.EndArray().Key("tensor_memory").BeginObject();
+  json.Key("live_bytes").Int(LiveTensorBytes());
+  json.Key("peak_bytes").Int(PeakTensorBytes()).EndObject();
+  json.Key("dropped_trace_events").Int(DroppedTraceEvents()).EndObject();
+  return std::move(json).str();
 }
 
 Status WriteMetricsJson(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::IoError("cannot open metrics output " + path);
-  }
-  const std::string json = MetricsJson();
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  if (std::fclose(file) != 0) {
-    return Status::IoError("error writing metrics output " + path);
-  }
-  return Status::Ok();
+  return WriteJsonFile(path, MetricsJson(), "metrics output");
 }
 
 }  // namespace sthsl::obs

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 
+#include "util/json_mini.h"
 #include "util/status.h"
 
 namespace sthsl::obs {
@@ -27,8 +28,10 @@ Status WriteMetricsJson(const std::string& path);
 /// The JSON body WriteMetricsJson writes, for in-process consumers.
 std::string MetricsJson();
 
-/// Escapes a string for embedding in a JSON string literal.
-std::string JsonEscape(const std::string& text);
+/// Writes the metrics registry as the "counters", "gauges" and "histograms"
+/// members of the object `json` has open. MetricsJson and the serving
+/// tier's /metrics JSON both embed it.
+void WriteRegistryJson(json::JsonWriter& json);
 
 }  // namespace sthsl::obs
 

@@ -1,35 +1,10 @@
 #include "util/obs/roofline.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 #include "util/json_mini.h"
 
 namespace sthsl::obs {
-namespace {
-
-std::string Num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  return buf;
-}
-
-void AppendCountersJson(std::ostringstream& out,
-                        const HwCounterSample& counters) {
-  if (!counters.valid) {
-    out << "\"counters\":null";
-    return;
-  }
-  out << "\"counters\":{\"cycles\":" << counters.cycles
-      << ",\"instructions\":" << counters.instructions
-      << ",\"l1d_misses\":" << counters.l1d_misses
-      << ",\"llc_misses\":" << counters.llc_misses
-      << ",\"branch_misses\":" << counters.branch_misses << "}";
-}
-
-}  // namespace
-
 double ComputeRoofGflops(const MachinePeaks& peaks, int threads) {
   return peaks.gflops_1t * std::max(threads, 1);
 }
@@ -82,34 +57,40 @@ std::vector<RooflineEntry> BuildRoofline(const std::vector<OpProfile>& ops,
 
 std::string RooflineJson(const std::vector<RooflineEntry>& entries,
                          const MachinePeaks& peaks, int threads) {
-  std::ostringstream out;
-  const double compute_roof = ComputeRoofGflops(peaks, threads);
-  out << "{\"bench\":\"roofline\",\"peaks\":{\"cpu_model\":"
-      << json::JsonQuote(peaks.cpu_model)
-      << ",\"gflops_1t\":" << Num(peaks.gflops_1t)
-      << ",\"gbps_1t\":" << Num(peaks.gbps_1t) << ",\"threads\":" << threads
-      << ",\"compute_roof_gflops\":" << Num(compute_roof)
-      << ",\"memory_roof_gbps\":" << Num(peaks.gbps_1t)
-      << ",\"calibrated_utc\":" << json::JsonQuote(peaks.created_utc)
-      << ",\"from_cache\":" << (peaks.from_cache ? "true" : "false")
-      << "},\"ops\":[";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const RooflineEntry& e = entries[i];
-    if (i > 0) out << ",";
-    out << "{\"name\":" << json::JsonQuote(e.name)
-        << ",\"calls\":" << e.calls << ",\"flops\":" << e.flops
-        << ",\"bytes\":" << e.bytes << ",\"us\":" << Num(e.us)
-        << ",\"intensity\":" << Num(e.intensity)
-        << ",\"achieved_gflops\":" << Num(e.achieved_gflops)
-        << ",\"achieved_gbps\":" << Num(e.achieved_gbps)
-        << ",\"roof_gflops\":" << Num(e.roof_gflops)
-        << ",\"pct_of_roof\":" << Num(e.pct_of_roof) << ",\"bound\":\""
-        << (e.compute_bound ? "compute" : "memory") << "\",";
-    AppendCountersJson(out, e.counters);
-    out << "}";
+  json::JsonWriter json;
+  json.BeginObject().Key("bench").String("roofline");
+  json.Key("peaks").BeginObject().Key("cpu_model").String(peaks.cpu_model);
+  json.Key("gflops_1t").Number(peaks.gflops_1t);
+  json.Key("gbps_1t").Number(peaks.gbps_1t).Key("threads").Int(threads);
+  json.Key("compute_roof_gflops").Number(ComputeRoofGflops(peaks, threads));
+  json.Key("memory_roof_gbps").Number(peaks.gbps_1t);
+  json.Key("calibrated_utc").String(peaks.created_utc);
+  json.Key("from_cache").Bool(peaks.from_cache).EndObject();
+  json.Key("ops").BeginArray();
+  for (const RooflineEntry& e : entries) {
+    json.BeginObject().Key("name").String(e.name).Key("calls").Int(e.calls);
+    json.Key("flops").Int(e.flops).Key("bytes").Int(e.bytes);
+    json.Key("us").Number(e.us).Key("intensity").Number(e.intensity);
+    json.Key("achieved_gflops").Number(e.achieved_gflops);
+    json.Key("achieved_gbps").Number(e.achieved_gbps);
+    json.Key("roof_gflops").Number(e.roof_gflops);
+    json.Key("pct_of_roof").Number(e.pct_of_roof);
+    json.Key("bound").String(e.compute_bound ? "compute" : "memory");
+    json.Key("counters");
+    const HwCounterSample& c = e.counters;
+    if (!c.valid) {
+      json.Null();
+    } else {
+      json.BeginObject().Key("cycles").Int(c.cycles);
+      json.Key("instructions").Int(c.instructions);
+      json.Key("l1d_misses").Int(c.l1d_misses);
+      json.Key("llc_misses").Int(c.llc_misses);
+      json.Key("branch_misses").Int(c.branch_misses).EndObject();
+    }
+    json.EndObject();
   }
-  out << "]}";
-  return out.str();
+  json.EndArray().EndObject();
+  return std::move(json).str();
 }
 
 }  // namespace sthsl::obs

@@ -4,23 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/obs/export.h"
+#include "util/json_mini.h"
 
 namespace sthsl::obs {
 namespace {
-
-/// Renders a double as a JSON literal; JSON has no NaN/Inf, so non-finite
-/// values become null (the validator and report treat null as "absent").
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
-}
-
-std::string QuotedJson(const std::string& text) {
-  return "\"" + JsonEscape(text) + "\"";
-}
 
 /// Compile-time build description for the header record, so a ledger row
 /// is attributable to the binary that produced it.
@@ -96,75 +83,64 @@ void RunLedger::BeginRun(const RunLedgerHeader& header,
   run_model_ = header.model;
   run_id_ = next_run_id_++;
 
-  std::string json = "{\"record\":\"header\",\"schema\":";
-  json += std::to_string(kRunLedgerSchemaVersion);
-  json += ",\"run\":" + std::to_string(run_id_);
-  json += ",\"model\":" + QuotedJson(header.model);
-  json += ",\"dataset\":{\"city\":" + QuotedJson(header.dataset_city);
-  json += ",\"rows\":" + std::to_string(header.dataset_rows);
-  json += ",\"cols\":" + std::to_string(header.dataset_cols);
-  json += ",\"days\":" + std::to_string(header.dataset_days);
-  json += ",\"categories\":" + std::to_string(header.dataset_categories);
-  json += ",\"generator_seed\":" +
-          std::to_string(header.dataset_generator_seed) + "}";
-  json += ",\"train_end\":" + std::to_string(header.train_end);
-  json += ",\"train_seed\":" + std::to_string(header.train_seed);
-  json += ",\"build\":{\"compiler\":" + QuotedJson(__VERSION__);
-  json += ",\"flags\":" + QuotedJson(BuildFlags()) + "}";
-  json += ",\"config\":{";
-  bool first = true;
-  for (const auto& [key, value] : header.config) {
-    if (!first) json += ",";
-    json += QuotedJson(key) + ":" + value;
-    first = false;
-  }
-  json += "}}";
-  AppendLineLocked(json);
+  json::JsonWriter json;
+  json.BeginObject().Key("record").String("header");
+  json.Key("schema").Int(kRunLedgerSchemaVersion).Key("run").Int(run_id_);
+  json.Key("model").String(header.model);
+  json.Key("dataset").BeginObject().Key("city").String(header.dataset_city);
+  json.Key("rows").Int(header.dataset_rows);
+  json.Key("cols").Int(header.dataset_cols);
+  json.Key("days").Int(header.dataset_days);
+  json.Key("categories").Int(header.dataset_categories);
+  json.Key("generator_seed").Int(header.dataset_generator_seed).EndObject();
+  json.Key("train_end").Int(header.train_end);
+  json.Key("train_seed").Int(header.train_seed);
+  json.Key("build").BeginObject().Key("compiler").String(__VERSION__);
+  json.Key("flags").String(BuildFlags()).EndObject();
+  json.Key("config").BeginObject();
+  for (const auto& [key, value] : header.config) json.Key(key).Raw(value);
+  json.EndObject().EndObject();
+  AppendLineLocked(json.str());
 }
 
 void RunLedger::RecordEpoch(const RunLedgerEpoch& epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (run_path_.empty()) return;
-  std::string json = "{\"record\":\"epoch\",\"run\":" + std::to_string(run_id_);
-  json += ",\"epoch\":" + std::to_string(epoch.epoch);
-  json += ",\"loss\":" + JsonNumber(epoch.loss);
-  json += ",\"lr\":" + JsonNumber(epoch.lr);
-  json += ",\"epoch_seconds\":" + JsonNumber(epoch.epoch_seconds);
-  json += ",\"windows\":" + std::to_string(epoch.windows);
-  json += ",\"grad_norm\":" + JsonNumber(epoch.grad_norm);
-  json += ",\"peak_tensor_bytes\":" + std::to_string(epoch.peak_tensor_bytes);
+  json::JsonWriter json;
+  json.BeginObject().Key("record").String("epoch").Key("run").Int(run_id_);
+  json.Key("epoch").Int(epoch.epoch);
+  json.Key("loss").Number(epoch.loss).Key("lr").Number(epoch.lr);
+  json.Key("epoch_seconds").Number(epoch.epoch_seconds);
+  json.Key("windows").Int(epoch.windows);
+  json.Key("grad_norm").Number(epoch.grad_norm);
+  json.Key("peak_tensor_bytes").Int(epoch.peak_tensor_bytes);
   if (epoch.has_validation) {
-    json += ",\"validation_mae\":" + JsonNumber(epoch.validation_mae);
-    json += std::string(",\"best_snapshot\":") +
-            (epoch.best_snapshot ? "true" : "false");
+    json.Key("validation_mae").Number(epoch.validation_mae);
+    json.Key("best_snapshot").Bool(epoch.best_snapshot);
   }
-  json += ",\"params\":[";
-  bool first = true;
+  json.Key("params").BeginArray();
   for (const RunLedgerParamStats& p : epoch.params) {
-    if (!first) json += ",";
-    json += "{\"name\":" + QuotedJson(p.name);
-    json += ",\"numel\":" + std::to_string(p.numel);
-    json += ",\"grad_norm\":" + JsonNumber(p.grad_norm);
-    json += ",\"weight_norm\":" + JsonNumber(p.weight_norm);
-    json += ",\"update_ratio\":" + JsonNumber(p.update_ratio);
-    json += ",\"nan_grad_frac\":" + JsonNumber(p.nan_grad_frac);
-    json += ",\"zero_grad_frac\":" + JsonNumber(p.zero_grad_frac) + "}";
-    first = false;
+    json.BeginObject().Key("name").String(p.name).Key("numel").Int(p.numel);
+    json.Key("grad_norm").Number(p.grad_norm);
+    json.Key("weight_norm").Number(p.weight_norm);
+    json.Key("update_ratio").Number(p.update_ratio);
+    json.Key("nan_grad_frac").Number(p.nan_grad_frac);
+    json.Key("zero_grad_frac").Number(p.zero_grad_frac).EndObject();
   }
-  json += "]}";
-  AppendLineLocked(json);
+  json.EndArray().EndObject();
+  AppendLineLocked(json.str());
 }
 
 void RunLedger::RecordEvent(const std::string& kind, int64_t epoch,
                             double value) {
   std::lock_guard<std::mutex> lock(mu_);
   if (run_path_.empty()) return;
-  std::string json = "{\"record\":\"event\",\"run\":" + std::to_string(run_id_);
-  json += ",\"kind\":" + QuotedJson(kind);
-  json += ",\"epoch\":" + std::to_string(epoch);
-  if (std::isfinite(value)) json += ",\"value\":" + JsonNumber(value);
-  json += "}";
-  AppendLineLocked(json);
+  json::JsonWriter json;
+  json.BeginObject().Key("record").String("event").Key("run").Int(run_id_);
+  json.Key("kind").String(kind).Key("epoch").Int(epoch);
+  if (std::isfinite(value)) json.Key("value").Number(value);
+  json.EndObject();
+  AppendLineLocked(json.str());
 }
 
 void RunLedger::RecordFinalEval(const std::string& model,
@@ -173,25 +149,21 @@ void RunLedger::RecordFinalEval(const std::string& model,
                                 const std::vector<RunLedgerEval>& categories) {
   std::lock_guard<std::mutex> lock(mu_);
   if (run_path_.empty() || model != run_model_) return;
-  auto eval_json = [](const RunLedgerEval& e) {
-    std::string json = "{\"name\":" + QuotedJson(e.name);
-    json += ",\"mae\":" + JsonNumber(e.mae);
-    json += ",\"mape\":" + JsonNumber(e.mape);
-    json += ",\"rmse\":" + JsonNumber(e.rmse);
-    json += ",\"entries\":" + std::to_string(e.entries) + "}";
-    return json;
+  json::JsonWriter json;
+  auto write_eval = [&json](const RunLedgerEval& e) {
+    json.BeginObject().Key("name").String(e.name);
+    json.Key("mae").Number(e.mae).Key("mape").Number(e.mape);
+    json.Key("rmse").Number(e.rmse).Key("entries").Int(e.entries);
+    json.EndObject();
   };
-  std::string json = "{\"record\":\"final\",\"run\":" + std::to_string(run_id_);
-  json += ",\"model\":" + QuotedJson(model);
-  json += ",\"city\":" + QuotedJson(city);
-  json += ",\"overall\":" + eval_json(overall);
-  json += ",\"categories\":[";
-  for (size_t i = 0; i < categories.size(); ++i) {
-    if (i > 0) json += ",";
-    json += eval_json(categories[i]);
-  }
-  json += "]}";
-  AppendLineLocked(json);
+  json.BeginObject().Key("record").String("final").Key("run").Int(run_id_);
+  json.Key("model").String(model).Key("city").String(city);
+  json.Key("overall");
+  write_eval(overall);
+  json.Key("categories").BeginArray();
+  for (const RunLedgerEval& category : categories) write_eval(category);
+  json.EndArray().EndObject();
+  AppendLineLocked(json.str());
   run_path_.clear();
   run_model_.clear();
   run_id_ = 0;

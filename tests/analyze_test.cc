@@ -12,6 +12,7 @@
 #include "analyze/include_graph.h"
 #include "analyze/lexer.h"
 #include "analyze/token_util.h"
+#include "util/json_mini.h"
 
 namespace sthsl::analyze {
 namespace {
@@ -578,15 +579,33 @@ TEST(AnalyzerTest, SarifReportStructure) {
   AnalyzeOptions options;
   options.check_self_contained = false;
   const auto result = RunAnalysisOnFiles(MixedTree(), options);
-  const std::string sarif = RenderReport(result, "sarif");
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"sthsl_analyze\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"layer-dag\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 1"), std::string::npos);
+  json::JsonValue sarif;
+  std::string error;
+  ASSERT_TRUE(json::JsonParser(RenderReport(result, "sarif"))
+                  .Parse(&sarif, &error))
+      << error;
+  const json::JsonValue* version = sarif.Find("version");
+  ASSERT_NE(version, nullptr);
+  EXPECT_EQ(version->text, "2.1.0");
+  const json::JsonValue& run = sarif.Find("runs")->items.at(0);
+  const json::JsonValue& driver = *run.Find("tool")->Find("driver");
+  EXPECT_EQ(driver.Find("name")->text, "sthsl_analyze");
+  const json::JsonValue* layer_dag = nullptr;
+  for (const json::JsonValue& r : run.Find("results")->items) {
+    if (r.Find("ruleId")->text == "layer-dag") layer_dag = &r;
+  }
+  ASSERT_NE(layer_dag, nullptr);
+  const json::JsonValue& location =
+      *layer_dag->Find("locations")->items.at(0).Find("physicalLocation");
+  EXPECT_EQ(location.Find("region")->Find("startLine")->number, 1);
   // Every catalog rule is described in the tool.driver.rules table.
+  std::vector<std::string> described;
+  for (const json::JsonValue& r : driver.Find("rules")->items) {
+    described.push_back(r.Find("id")->text);
+  }
   for (const RuleInfo& rule : Rules()) {
-    EXPECT_NE(sarif.find("\"id\": \"" + std::string(rule.id) + "\""),
-              std::string::npos)
+    EXPECT_NE(std::find(described.begin(), described.end(), rule.id),
+              described.end())
         << rule.id;
   }
 }
@@ -597,9 +616,13 @@ TEST(AnalyzerTest, JsonReportEscapes) {
   result.files_scanned = 1;
   result.findings = {{"src/a.cc", 3, "layer-dag", Severity::kError,
                       "message with \"quotes\" and\nnewline"}};
-  const std::string json = RenderReport(result, "json");
-  EXPECT_NE(json.find("\\\"quotes\\\""), std::string::npos);
-  EXPECT_NE(json.find("\\n"), std::string::npos);
+  json::JsonValue report;
+  std::string error;
+  ASSERT_TRUE(json::JsonParser(RenderReport(result, "json"))
+                  .Parse(&report, &error))
+      << error;
+  EXPECT_EQ(report.Find("findings")->items.at(0).Find("message")->text,
+            "message with \"quotes\" and\nnewline");
 }
 
 TEST(AnalyzerTest, RuleCatalogIsConsistent) {

@@ -2,8 +2,10 @@
 // autograd profiler, scoped regions, trace export, and the guarantee that a
 // disabled layer records no observable state.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "util/json_mini.h"
 #include "util/obs/export.h"
 #include "util/obs/log_histogram.h"
 #include "util/obs/metrics.h"
@@ -403,11 +406,28 @@ TEST(ObsExportTest, MetricsJsonHasAllSections) {
   EXPECT_NE(json.find("\"tensor_memory\""), std::string::npos);
 }
 
-TEST(ObsExportTest, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(obs::JsonEscape("plain"), "plain");
-  EXPECT_EQ(obs::JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(obs::JsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(obs::JsonEscape(std::string(1, '\x01')), "\\u0001");
+TEST(ObsExportTest, NonFiniteMetricsExportAsNull) {
+  ObsSandbox sandbox(/*enabled=*/true);
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.GetGauge("train/loss").Set(std::nan(""));
+  registry.GetHistogram("train/grad_norm")
+      .Record(std::numeric_limits<double>::infinity());
+
+  json::JsonValue root;
+  std::string error;
+  ASSERT_TRUE(json::JsonParser(obs::MetricsJson()).Parse(&root, &error))
+      << error;
+  const json::JsonValue* loss = root.Find("gauges")->Find("train/loss");
+  ASSERT_NE(loss, nullptr);
+  EXPECT_TRUE(loss->Is(json::JsonValue::Kind::kNull));
+  const json::JsonValue* grad_norm =
+      root.Find("histograms")->Find("train/grad_norm");
+  ASSERT_NE(grad_norm, nullptr);
+  EXPECT_EQ(grad_norm->Find("count")->number, 1);
+  for (const char* field : {"min", "max", "mean", "p50", "p95", "p99"}) {
+    EXPECT_TRUE(grad_norm->Find(field)->Is(json::JsonValue::Kind::kNull))
+        << field;
+  }
 }
 
 }  // namespace

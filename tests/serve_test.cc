@@ -10,14 +10,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +37,7 @@
 #include "serve/service.h"
 #include "serve/trace.h"
 #include "util/json_mini.h"
+#include "util/obs/metrics.h"
 
 namespace sthsl::serve {
 namespace {
@@ -390,11 +394,11 @@ TEST(AccessLogTest, SlowRequestsAreMarked) {
   std::remove(path.c_str());
 }
 
-TEST(JsonEscapeTest, ControlCharactersEscaped) {
-  EXPECT_EQ(sthsl::json::JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(sthsl::json::JsonEscape("tab\there"), "tab\\there");
-  EXPECT_EQ(sthsl::json::JsonEscape(std::string("nul\x01") + "\x1f"),
-            "nul\\u0001\\u001f");
+TEST(JsonQuoteTest, ControlCharactersEscaped) {
+  EXPECT_EQ(sthsl::json::JsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(sthsl::json::JsonQuote("tab\there"), "\"tab\\there\"");
+  EXPECT_EQ(sthsl::json::JsonQuote(std::string("nul\x01") + "\x1f"),
+            "\"nul\\u0001\\u001f\"");
   EXPECT_EQ(sthsl::json::JsonQuote("x\ny"), "\"x\\ny\"");
 }
 
@@ -560,25 +564,40 @@ std::string ResponseHeader(const std::string& raw, const std::string& name) {
   return head.substr(begin, end - begin);
 }
 
-// Extracts the "prediction" array text verbatim — string compare against the
-// server's rendering of the direct result proves bitwise identity, because
-// %.9g is injective on float32.
-std::string PredictionArrayText(const std::string& body) {
-  const size_t start = body.find("\"prediction\": [");
-  EXPECT_NE(start, std::string::npos) << body;
-  const size_t end = body.find(']', start);
-  EXPECT_NE(end, std::string::npos);
-  return body.substr(start, end - start + 1);
+// Parses a response body; a body that is not JSON fails the test.
+json::JsonValue ParseBody(const std::string& body) {
+  json::JsonValue root;
+  std::string error;
+  EXPECT_TRUE(json::JsonParser(body).Parse(&root, &error)) << error << body;
+  return root;
 }
 
-std::string RenderFloats(const std::vector<float>& values) {
-  std::string text = "\"prediction\": [";
-  char buf[40];
-  for (size_t i = 0; i < values.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(values[i]));
-    text += (i == 0 ? "" : ", ") + std::string(buf);
+// The body after a raw response's header block.
+std::string RawBody(const std::string& raw) {
+  const size_t head_end = raw.find("\r\n\r\n");
+  return head_end == std::string::npos ? "" : raw.substr(head_end + 4);
+}
+
+// The "prediction" array as float32 bit patterns. The server renders floats
+// as %.9g would, which round-trips float32, so equal bits here prove the
+// served prediction bitwise identical to the direct one.
+std::vector<uint32_t> PredictionBits(const json::JsonValue& body) {
+  std::vector<uint32_t> bits;
+  const json::JsonValue* prediction =
+      body.FindOfKind("prediction", json::JsonValue::Kind::kArray);
+  EXPECT_NE(prediction, nullptr);
+  if (prediction == nullptr) return bits;
+  for (const json::JsonValue& item : prediction->items) {
+    bits.push_back(std::bit_cast<uint32_t>(static_cast<float>(item.number)));
   }
-  return text + "]";
+  return bits;
+}
+
+bool CacheHit(const json::JsonValue& body) {
+  const json::JsonValue* hit =
+      body.FindOfKind("cache_hit", json::JsonValue::Kind::kBool);
+  EXPECT_NE(hit, nullptr);
+  return hit != nullptr && hit->boolean;
 }
 
 TEST(ServeLoopbackTest, EndToEndMatchesDirectPredictBitwise) {
@@ -607,7 +626,10 @@ TEST(ServeLoopbackTest, EndToEndMatchesDirectPredictBitwise) {
   const Tensor direct_out =
       direct.model->PredictWindows({Tensor::FromVector(shape, window)})
           .front();
-  const std::string expected = RenderFloats(direct_out.Data());
+  std::vector<uint32_t> expected;
+  for (float value : direct_out.Data()) {
+    expected.push_back(std::bit_cast<uint32_t>(value));
+  }
 
   std::string body = "{\"window\": [";
   for (size_t i = 0; i < window.size(); ++i) {
@@ -620,15 +642,15 @@ TEST(ServeLoopbackTest, EndToEndMatchesDirectPredictBitwise) {
   std::string cold =
       HttpRoundTrip(server.port(), RenderPost("/v1/predict", body), &status);
   ASSERT_EQ(status, 200) << cold;
-  EXPECT_NE(cold.find("\"cache_hit\": false"), std::string::npos) << cold;
-  EXPECT_EQ(PredictionArrayText(cold), expected);
+  EXPECT_FALSE(CacheHit(ParseBody(cold))) << cold;
+  EXPECT_EQ(PredictionBits(ParseBody(cold)), expected);
 
   // Warm request: identical window must be a cache hit, same exact bytes.
   std::string warm =
       HttpRoundTrip(server.port(), RenderPost("/v1/predict", body), &status);
   ASSERT_EQ(status, 200) << warm;
-  EXPECT_NE(warm.find("\"cache_hit\": true"), std::string::npos) << warm;
-  EXPECT_EQ(PredictionArrayText(warm), expected);
+  EXPECT_TRUE(CacheHit(ParseBody(warm))) << warm;
+  EXPECT_EQ(PredictionBits(ParseBody(warm)), expected);
 
   // Bad inputs come back as client errors, never aborts.
   std::string bad = HttpRoundTrip(
@@ -661,29 +683,50 @@ TEST(ServeLoopbackTest, EndToEndMatchesDirectPredictBitwise) {
                                      "Connection: close\r\n\r\n",
                                      &status);
   EXPECT_EQ(status, 200);
-  EXPECT_NE(health.find("\"model\": \"ST-HSL\""), std::string::npos) << health;
+  const json::JsonValue health_json = ParseBody(health);
+  const json::JsonValue* model = health_json.Find("model");
+  ASSERT_NE(model, nullptr) << health;
+  EXPECT_EQ(model->text, "ST-HSL");
+  // Non-finite registry values must still yield valid JSON: null.
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.GetGauge("test/nan_gauge").Set(std::nan(""));
+  registry.GetHistogram("test/inf_histogram")
+      .Record(std::numeric_limits<double>::infinity());
   std::string metrics = HttpRoundTrip(server.port(),
                                       "GET /metrics HTTP/1.1\r\nHost: t\r\n"
                                       "Connection: close\r\n\r\n",
                                       &status);
   EXPECT_EQ(status, 200);
-  EXPECT_NE(metrics.find("\"cache\""), std::string::npos);
-  EXPECT_NE(metrics.find("\"batcher\""), std::string::npos);
+  const json::JsonValue metrics_json = ParseBody(metrics);
+  EXPECT_NE(metrics_json.Find("cache"), nullptr);
+  EXPECT_NE(metrics_json.Find("batcher"), nullptr);
   // Scrapes refresh and embed the execution-pool telemetry.
-  EXPECT_NE(metrics.find("\"exec\""), std::string::npos);
-  EXPECT_NE(metrics.find("\"exec/threads\""), std::string::npos);
+  EXPECT_NE(metrics_json.Find("exec"), nullptr);
+  const json::JsonValue* gauges = metrics_json.Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_NE(gauges->Find("exec/threads"), nullptr);
+  const json::JsonValue* nan_gauge = gauges->Find("test/nan_gauge");
+  ASSERT_NE(nan_gauge, nullptr);
+  EXPECT_TRUE(nan_gauge->Is(json::JsonValue::Kind::kNull));
+  const json::JsonValue* inf_histogram =
+      metrics_json.Find("histograms")->Find("test/inf_histogram");
+  ASSERT_NE(inf_histogram, nullptr);
+  EXPECT_TRUE(inf_histogram->Find("p99")->Is(json::JsonValue::Kind::kNull));
   std::string statusz = HttpRoundTrip(server.port(),
                                       "GET /statusz HTTP/1.1\r\nHost: t\r\n"
                                       "Connection: close\r\n\r\n",
                                       &status);
   EXPECT_EQ(status, 200);
-  EXPECT_NE(statusz.find("\"exec\""), std::string::npos);
-  EXPECT_NE(statusz.find("\"chunks_executed\""), std::string::npos);
+  const json::JsonValue statusz_json = ParseBody(statusz);
+  const json::JsonValue* exec = statusz_json.Find("exec");
+  ASSERT_NE(exec, nullptr);
+  EXPECT_NE(exec->Find("chunks_executed"), nullptr);
   // The selected SIMD microkernel set and detected CPU features are part of
   // the serving provenance surface.
-  EXPECT_NE(statusz.find("\"simd\""), std::string::npos);
-  EXPECT_NE(statusz.find("\"kernels\""), std::string::npos);
-  EXPECT_NE(statusz.find("\"cpu_features\""), std::string::npos);
+  const json::JsonValue* simd = statusz_json.Find("simd");
+  ASSERT_NE(simd, nullptr);
+  EXPECT_NE(simd->Find("kernels"), nullptr);
+  EXPECT_NE(simd->Find("cpu_features"), nullptr);
 
   server.Drain();
   engine.Shutdown();
@@ -728,8 +771,10 @@ TEST(ServeLoopbackTest, TraceparentRoundTripAndAccessLogExactlyOnce) {
   ASSERT_EQ(echoed.size(), 55u) << raw;
   EXPECT_EQ(echoed.substr(3, 32), client_trace);
   EXPECT_NE(echoed.substr(36, 16), "00f067aa0ba902b7");  // fresh span id
-  EXPECT_NE(raw.find("\"trace_id\": \"" + client_trace + "\""),
-            std::string::npos);
+  const json::JsonValue reply = ParseBody(RawBody(raw));
+  const json::JsonValue* trace_id = reply.Find("trace_id");
+  ASSERT_NE(trace_id, nullptr) << raw;
+  EXPECT_EQ(trace_id->text, client_trace);
 
   // 2. A malformed traceparent is rejected: the response carries a freshly
   //    generated trace id instead of echoing the bad one.

@@ -46,9 +46,7 @@ const std::vector<int64_t>& TailSizes() {
 std::vector<const simd::MicrokernelSet*> CompiledVariants() {
   std::vector<const simd::MicrokernelSet*> out;
   out.push_back(&simd::PortableKernels());
-  for (const char* name : {"avx2", "neon"}) {
-    if (const auto* ks = simd::KernelsByName(name)) out.push_back(ks);
-  }
+  if (const auto* ks = simd::KernelsByName("avx2")) out.push_back(ks);
   return out;
 }
 
@@ -117,8 +115,6 @@ TEST(SimdDispatch, SelectedSetMatchesCpuFeatures) {
   const char* selected = simd::Kernels().name;
   if (feats.avx2 && feats.fma && simd::KernelsByName("avx2") != nullptr) {
     EXPECT_STREQ(selected, "avx2");
-  } else if (feats.neon && simd::KernelsByName("neon") != nullptr) {
-    EXPECT_STREQ(selected, "neon");
   } else {
     EXPECT_STREQ(selected, "portable");
   }

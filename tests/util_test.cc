@@ -1,12 +1,21 @@
-// Tests for the utility substrate: Status/Result, RNG distributions, CSV.
+// Tests for the utility substrate: Status/Result, RNG distributions, CSV,
+// and the JSON writer.
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/csv.h"
+#include "util/json_mini.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -221,6 +230,87 @@ TEST(CsvTest, ReadMissingFileIsIoError) {
   auto result = ReadCsv("/tmp/definitely_missing_sthsl.csv");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kIoError);
+}
+
+json::JsonValue ParseJson(const std::string& text) {
+  json::JsonValue value;
+  std::string error;
+  EXPECT_TRUE(json::JsonParser(text).Parse(&value, &error))
+      << error << ": " << text;
+  return value;
+}
+
+TEST(JsonWriterTest, EscapesEveryControlByteAndRoundTrips) {
+  std::string text = "quote\" backslash\\ ";
+  for (int c = 0; c < 0x20; ++c) text += static_cast<char>(c);
+  const std::string literal = json::JsonWriter().String(text).str();
+  for (char c : literal) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  EXPECT_EQ(ParseJson(literal).text, text);
+}
+
+TEST(JsonWriterTest, FloatsRoundTripBitwiseAsPercent9g) {
+  std::vector<float> values = {0.0f,
+                               -0.0f,
+                               std::numeric_limits<float>::denorm_min(),
+                               -std::numeric_limits<float>::denorm_min(),
+                               FLT_MIN,
+                               FLT_MAX,
+                               -FLT_MAX,
+                               1.0f / 3.0f,
+                               0.1f};
+  std::mt19937 bits(7);
+  while (values.size() < 20000) {
+    const float value = std::bit_cast<float>(static_cast<uint32_t>(bits()));
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  for (float value : values) {
+    const std::string text = json::JsonWriter().Number(value).str();
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%.9g",
+                  static_cast<double>(value));
+    ASSERT_EQ(text, expected);
+    const float parsed = static_cast<float>(ParseJson(text).number);
+    ASSERT_EQ(std::bit_cast<uint32_t>(parsed), std::bit_cast<uint32_t>(value))
+        << text;
+  }
+}
+
+TEST(JsonWriterTest, DoublesRoundTripExactly) {
+  std::vector<double> values = {0.0, -0.0, 0.1, 1.0 / 3.0, 1e300, -2.5e-300,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::max()};
+  std::mt19937_64 bits(11);
+  while (values.size() < 20000) {
+    const double value = std::bit_cast<double>(static_cast<uint64_t>(bits()));
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  for (double value : values) {
+    const std::string text = json::JsonWriter().Number(value).str();
+    ASSERT_EQ(std::bit_cast<uint64_t>(ParseJson(text).number),
+              std::bit_cast<uint64_t>(value))
+        << text;
+  }
+}
+
+TEST(JsonWriterTest, NonFiniteNumbersBecomeNull) {
+  const double inf = std::numeric_limits<double>::infinity();
+  json::JsonWriter json;
+  json.BeginArray().Number(std::nan("")).Number(inf).Number(-inf);
+  json.Number(std::nanf("")).Number(static_cast<float>(-inf)).EndArray();
+  EXPECT_EQ(json.str(), "[null,null,null,null,null]");
+}
+
+TEST(JsonWriterTest, SeparatorsNestAndRawIsVerbatim) {
+  json::JsonWriter json;
+  json.BeginObject().Key("a").BeginArray().Int(1).BeginArray().EndArray();
+  json.BeginObject().EndObject().Bool(false).Null().Int(-3).EndArray();
+  json.Key("raw").Raw(R"({"x":[1, 2]})").Key("s").String("v");
+  json.Key("o").BeginObject().Key("k").Int(int64_t{1} << 40).EndObject();
+  json.EndObject();
+  EXPECT_EQ(json.str(),
+            R"({"a":[1,[],{},false,null,-3],"raw":{"x":[1, 2]},"s":"v",)"
+            R"("o":{"k":1099511627776}})");
+  ParseJson(json.str());
 }
 
 }  // namespace

@@ -165,14 +165,15 @@ class Connection {
 std::string RenderPredictBody(const std::vector<int64_t>& shape, int k) {
   int64_t numel = 1;
   for (int64_t extent : shape) numel *= extent;
-  std::string body = "{\"window\": [";
+  sthsl::json::JsonWriter json;
+  json.BeginObject().Key("window").BeginArray();
   uint32_t state = 2654435761u * static_cast<uint32_t>(k + 1);
   for (int64_t i = 0; i < numel; ++i) {
     state = state * 1664525u + 1013904223u;
-    body += (i == 0 ? "" : ",") + std::to_string(state % 7);
+    json.Int(state % 7);
   }
-  body += "]}";
-  return body;
+  json.EndArray().EndObject();
+  return std::move(json).str();
 }
 
 std::string RenderRequest(const std::string& host, const std::string& target,
@@ -356,8 +357,11 @@ int main(int argc, char** argv) {
         latencies.push_back(
             std::chrono::duration<double, std::micro>(end - start).count());
         total_requests.fetch_add(1);
-        if (body.find("\"cache_hit\": true") != std::string::npos) {
-          cache_hits.fetch_add(1);
+        sthsl::json::JsonValue reply;
+        if (sthsl::json::JsonParser(body).Parse(&reply, nullptr)) {
+          const sthsl::json::JsonValue* hit = reply.FindOfKind(
+              "cache_hit", sthsl::json::JsonValue::Kind::kBool);
+          if (hit != nullptr && hit->boolean) cache_hits.fetch_add(1);
         }
         next = (next + 1) % bodies.size();
       }
@@ -451,32 +455,26 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream out(opts.out);
-  out << "{\n"
-      << "  \"benchmark\": \"sthsl_serve\",\n"
-      << "  \"connections\": " << opts.connections << ",\n"
-      << "  \"seconds\": " << elapsed << ",\n"
-      << "  \"requests\": " << ok << ",\n"
-      << "  \"errors\": " << errors << ",\n"
-      << "  \"trace_mismatches\": " << mismatches << ",\n"
-      << "  \"cache_hits\": " << cache_hits.load() << ",\n"
-      << "  \"qps\": " << qps << ",\n"
-      << "  \"latency_us\": {\"mean\": " << mean << ", \"p50\": " << p50
-      << ", \"p95\": " << p95 << ", \"p99\": " << p99 << "},\n"
-      << "  \"server\": {";
-  for (size_t i = 0; i < server_stats.size(); ++i) {
-    const auto& [name, snapshot] = server_stats[i];
-    const auto field = [&snapshot](const char* key) {
-      const sthsl::json::JsonValue* value = snapshot.Find(key);
-      return value != nullptr ? value->number : 0.0;
-    };
-    out << (i == 0 ? "" : ", ") << sthsl::json::JsonQuote(name) << ": {\"count\": "
-        << field("count") << ", \"mean\": " << field("mean")
-        << ", \"p50\": " << field("p50") << ", \"p95\": " << field("p95")
-        << ", \"p99\": " << field("p99") << "}";
+  sthsl::json::JsonWriter json;
+  json.BeginObject().Key("benchmark").String("sthsl_serve");
+  json.Key("connections").Int(opts.connections).Key("seconds").Number(elapsed);
+  json.Key("requests").Int(ok).Key("errors").Int(errors);
+  json.Key("trace_mismatches").Int(mismatches);
+  json.Key("cache_hits").Int(cache_hits.load()).Key("qps").Number(qps);
+  json.Key("latency_us").BeginObject().Key("mean").Number(mean);
+  json.Key("p50").Number(p50).Key("p95").Number(p95).Key("p99").Number(p99);
+  json.EndObject().Key("server").BeginObject();
+  for (const auto& [name, snapshot] : server_stats) {
+    json.Key(name).BeginObject();
+    for (const char* field : {"count", "mean", "p50", "p95", "p99"}) {
+      const sthsl::json::JsonValue* value = snapshot.Find(field);
+      json.Key(field).Number(value != nullptr ? value->number : 0.0);
+    }
+    json.EndObject();
   }
-  out << "}\n"
-      << "}\n";
+  json.EndObject().EndObject();
+  std::ofstream out(opts.out);
+  out << json.str() << "\n";
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", opts.out.c_str());
     return 1;

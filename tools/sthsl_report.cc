@@ -344,7 +344,7 @@ bool ParseRooflineText(const std::string& text, const std::string& source,
   }
   if (!root.Is(kObj) || StringOr(root, "bench", "") != "roofline") {
     return Complain(source + ": not a BENCH_roofline.json document "
-                             "(\"bench\":\"roofline\")");
+                             "(bench != \"roofline\")");
   }
   out->source = source;
   const JsonValue* peaks = root.FindOfKind("peaks", kObj);
@@ -493,30 +493,19 @@ void PrintRoofline(const RooflineDoc& doc) {
 
 // -- Baseline emit / gate -----------------------------------------------------
 
-std::string JsonNumberOrNull(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
-}
-
 /// Gate baselines key on (model, city); MAE comes from the run's final
 /// record, epoch_seconds from the mean over its epoch records.
 std::string RenderBaseline(const std::vector<RunSummary>& runs) {
-  std::string json = "{\"baseline\":\"sthsl_report\",\"schema\":1,"
-                     "\"entries\":[";
-  bool first = true;
+  sthsl::json::JsonWriter json;
+  json.BeginObject().Key("baseline").String("sthsl_report");
+  json.Key("schema").Int(1).Key("entries").BeginArray();
   for (const RunSummary& run : runs) {
-    if (!first) json += ",";
-    first = false;
-    json += "{\"model\":" + sthsl::json::JsonQuote(run.model) +
-            ",\"city\":" + sthsl::json::JsonQuote(run.city) +
-            ",\"mae\":" + JsonNumberOrNull(run.test_mae) +
-            ",\"epoch_seconds\":" + JsonNumberOrNull(run.mean_epoch_seconds) +
-            "}";
+    json.BeginObject().Key("model").String(run.model);
+    json.Key("city").String(run.city).Key("mae").Number(run.test_mae);
+    json.Key("epoch_seconds").Number(run.mean_epoch_seconds).EndObject();
   }
-  json += "]}";
-  return json;
+  json.EndArray().EndObject();
+  return std::move(json).str();
 }
 
 /// Returns the number of gate failures (0 = pass). Baselines with null MAE
@@ -597,19 +586,17 @@ int RunGate(const std::string& baseline_text, const std::string& source,
 /// emitting run; the gate applies its tolerance as a floor, so machine drift
 /// between the committing host and CI is absorbed by --roofline-tolerance.
 std::string RenderRooflineBaseline(const RooflineDoc& doc) {
-  std::string json = "{\"baseline\":\"sthsl_report_roofline\",\"schema\":1,"
-                     "\"cpu_model\":" +
-                     sthsl::json::JsonQuote(doc.cpu_model) + ",\"ops\":[";
-  bool first = true;
+  sthsl::json::JsonWriter json;
+  json.BeginObject().Key("baseline").String("sthsl_report_roofline");
+  json.Key("schema").Int(1).Key("cpu_model").String(doc.cpu_model);
+  json.Key("ops").BeginArray();
   for (const RooflineOp& op : doc.ops) {
     if (!std::isfinite(op.achieved_gflops)) continue;
-    if (!first) json += ",";
-    first = false;
-    json += "{\"name\":" + sthsl::json::JsonQuote(op.name) +
-            ",\"gflops\":" + JsonNumberOrNull(op.achieved_gflops) + "}";
+    json.BeginObject().Key("name").String(op.name);
+    json.Key("gflops").Number(op.achieved_gflops).EndObject();
   }
-  json += "]}";
-  return json;
+  json.EndArray().EndObject();
+  return std::move(json).str();
 }
 
 /// Per-op achieved-GFLOP/s floor gate: every baseline op must be present in
@@ -673,20 +660,20 @@ int RunRooflineGate(const std::string& baseline_text, const std::string& source,
 // -- Self-test ----------------------------------------------------------------
 
 constexpr const char kSelfTestLedger[] =
-    "{\"record\":\"header\",\"schema\":1,\"run\":1,\"model\":\"STHSL\","
-    "\"dataset\":{\"city\":\"NYC-small\",\"rows\":3,\"cols\":3,\"days\":120,"
-    "\"categories\":4,\"generator_seed\":11},\"train_end\":90,"
-    "\"train_seed\":7,\"config\":{}}\n"
-    "{\"record\":\"epoch\",\"run\":1,\"epoch\":1,\"loss\":2.0,\"lr\":0.005,"
-    "\"epoch_seconds\":0.1,\"windows\":32,\"grad_norm\":3.0,\"params\":[]}\n"
-    "{\"record\":\"epoch\",\"run\":1,\"epoch\":2,\"loss\":1.0,\"lr\":0.004,"
-    "\"epoch_seconds\":0.3,\"windows\":32,\"grad_norm\":2.0,"
-    "\"validation_mae\":0.8,\"best_snapshot\":true,\"params\":[]}\n"
-    "{\"record\":\"event\",\"run\":1,\"kind\":\"restore_best\",\"epoch\":2,"
-    "\"value\":0.8}\n"
-    "{\"record\":\"final\",\"run\":1,\"model\":\"STHSL\",\"city\":"
-    "\"NYC-small\",\"overall\":{\"name\":\"overall\",\"mae\":0.5,"
-    "\"mape\":0.3,\"rmse\":0.9,\"entries\":360},\"categories\":[]}\n";
+    R"({"record":"header","schema":1,"run":1,"model":"STHSL",)"
+    R"("dataset":{"city":"NYC-small","rows":3,"cols":3,"days":120,)"
+    R"("categories":4,"generator_seed":11},"train_end":90,)"
+    R"("train_seed":7,"config":{}})" "\n"
+    R"({"record":"epoch","run":1,"epoch":1,"loss":2.0,"lr":0.005,)"
+    R"("epoch_seconds":0.1,"windows":32,"grad_norm":3.0,"params":[]})" "\n"
+    R"({"record":"epoch","run":1,"epoch":2,"loss":1.0,"lr":0.004,)"
+    R"("epoch_seconds":0.3,"windows":32,"grad_norm":2.0,)"
+    R"("validation_mae":0.8,"best_snapshot":true,"params":[]})" "\n"
+    R"({"record":"event","run":1,"kind":"restore_best","epoch":2,)"
+    R"("value":0.8})" "\n"
+    R"({"record":"final","run":1,"model":"STHSL","city":)"
+    R"("NYC-small","overall":{"name":"overall","mae":0.5,)"
+    R"("mape":0.3,"rmse":0.9,"entries":360},"categories":[]})" "\n";
 
 int SelfTest() {
   int failures = 0;
@@ -742,25 +729,25 @@ int SelfTest() {
   std::vector<BenchModel> bench;
   std::vector<ServeBench> serve_bench;
   std::vector<ParallelKernel> parallel;
-  expect(ParseBenchText("{\"bench\":\"table5_efficiency\",\"models\":["
-                        "{\"name\":\"STGCN\",\"nyc_epoch_seconds\":0.5,"
-                        "\"chi_epoch_seconds\":0.4,\"ops\":[]}]}",
+  expect(ParseBenchText(R"({"bench":"table5_efficiency","models":[)"
+                        R"({"name":"STGCN","nyc_epoch_seconds":0.5,)"
+                        R"("chi_epoch_seconds":0.4,"ops":[]}]})",
                         "<selftest>", &bench, &serve_bench, &parallel),
          "bench json parses");
   expect(bench.size() == 1 && bench[0].name == "STGCN" &&
              std::fabs(bench[0].nyc_epoch_seconds - 0.5) < 1e-12,
          "bench model extracted");
   std::vector<BenchModel> bad_bench;
-  expect(!ParseBenchText("{\"bench\":\"x\"}", "<selftest>", &bad_bench,
+  expect(!ParseBenchText(R"({"bench":"x"})", "<selftest>", &bad_bench,
                          &serve_bench, &parallel),
          "bench json without models rejected");
 
   // Thread-scaling bench parsing (bench_kernels BENCH_parallel format).
   expect(ParseBenchText(
-             "{\"hardware_threads\": 8,\"kernels\": [{\"name\": "
-             "\"gemm_nn_256\", \"serial_us\": 1000.0, \"threads\": ["
-             "{\"threads\": 1, \"us\": 1000.0, \"speedup\": 1.0},"
-             "{\"threads\": 4, \"us\": 300.0, \"speedup\": 3.333}]}]}",
+             R"({"hardware_threads": 8,"kernels": [{"name": )"
+             R"("gemm_nn_256", "serial_us": 1000.0, "threads": [)"
+             R"({"threads": 1, "us": 1000.0, "speedup": 1.0},)"
+             R"({"threads": 4, "us": 300.0, "speedup": 3.333}]}]})",
              "<selftest>", &bench, &serve_bench, &parallel),
          "parallel bench json parses");
   expect(parallel.size() == 1 && parallel[0].name == "gemm_nn_256" &&
@@ -770,28 +757,28 @@ int SelfTest() {
 
   // Roofline parsing, baseline round-trip and gate.
   const char kRooflineSample[] =
-      "{\"bench\":\"roofline\",\"peaks\":{\"cpu_model\":\"TestCPU\","
-      "\"gflops_1t\":10,\"gbps_1t\":5,\"threads\":4,"
-      "\"compute_roof_gflops\":40,\"memory_roof_gbps\":5,"
-      "\"calibrated_utc\":\"2026-01-01T00:00:00Z\",\"from_cache\":false},"
-      "\"ops\":[{\"name\":\"matmul\",\"calls\":3,\"flops\":200000000,"
-      "\"bytes\":4000000,\"us\":50000,\"intensity\":50,"
-      "\"achieved_gflops\":4,\"achieved_gbps\":0.08,\"roof_gflops\":40,"
-      "\"pct_of_roof\":10,\"bound\":\"compute\",\"counters\":{\"cycles\":"
-      "1000,\"instructions\":2000,\"l1d_misses\":10,\"llc_misses\":5,"
-      "\"branch_misses\":1}},{\"name\":\"softmax\",\"calls\":3,"
-      "\"flops\":327680,\"bytes\":524288,\"us\":100,\"intensity\":0.625,"
-      "\"achieved_gflops\":3.2768,\"achieved_gbps\":5.24288,"
-      "\"roof_gflops\":3.125,\"pct_of_roof\":104.9,\"bound\":\"memory\","
-      "\"counters\":null},{\"name\":\"spmm\",\"calls\":3,"
-      "\"flops\":1000000,\"bytes\":2000000,\"us\":1000,\"intensity\":0.5,"
-      "\"achieved_gflops\":1,\"achieved_gbps\":2,\"roof_gflops\":2.5,"
-      "\"pct_of_roof\":40,\"bound\":\"memory\",\"counters\":null},"
-      "{\"name\":\"gather.bwd\",\"calls\":3,\"flops\":131072,"
-      "\"bytes\":1048576,\"us\":500,\"intensity\":0.125,"
-      "\"achieved_gflops\":0.262144,\"achieved_gbps\":2.097152,"
-      "\"roof_gflops\":0.625,\"pct_of_roof\":41.9,\"bound\":\"memory\","
-      "\"counters\":null}]}";
+      R"({"bench":"roofline","peaks":{"cpu_model":"TestCPU",)"
+      R"("gflops_1t":10,"gbps_1t":5,"threads":4,)"
+      R"("compute_roof_gflops":40,"memory_roof_gbps":5,)"
+      R"("calibrated_utc":"2026-01-01T00:00:00Z","from_cache":false},)"
+      R"("ops":[{"name":"matmul","calls":3,"flops":200000000,)"
+      R"("bytes":4000000,"us":50000,"intensity":50,)"
+      R"("achieved_gflops":4,"achieved_gbps":0.08,"roof_gflops":40,)"
+      R"("pct_of_roof":10,"bound":"compute","counters":{"cycles":)"
+      R"(1000,"instructions":2000,"l1d_misses":10,"llc_misses":5,)"
+      R"("branch_misses":1}},{"name":"softmax","calls":3,)"
+      R"("flops":327680,"bytes":524288,"us":100,"intensity":0.625,)"
+      R"("achieved_gflops":3.2768,"achieved_gbps":5.24288,)"
+      R"("roof_gflops":3.125,"pct_of_roof":104.9,"bound":"memory",)"
+      R"("counters":null},{"name":"spmm","calls":3,)"
+      R"("flops":1000000,"bytes":2000000,"us":1000,"intensity":0.5,)"
+      R"("achieved_gflops":1,"achieved_gbps":2,"roof_gflops":2.5,)"
+      R"("pct_of_roof":40,"bound":"memory","counters":null},)"
+      R"({"name":"gather.bwd","calls":3,"flops":131072,)"
+      R"("bytes":1048576,"us":500,"intensity":0.125,)"
+      R"("achieved_gflops":0.262144,"achieved_gbps":2.097152,)"
+      R"("roof_gflops":0.625,"pct_of_roof":41.9,"bound":"memory",)"
+      R"("counters":null}]})";
   RooflineDoc roofline;
   expect(ParseRooflineText(kRooflineSample, "<selftest>", &roofline),
          "roofline json parses");
@@ -807,7 +794,7 @@ int SelfTest() {
              !roofline.ops[1].has_counters,
          "roofline counters extracted, null counters skipped");
   RooflineDoc bad_roofline;
-  expect(!ParseRooflineText("{\"bench\":\"roofline\"}", "<selftest>",
+  expect(!ParseRooflineText(R"({"bench":"roofline"})", "<selftest>",
                             &bad_roofline),
          "roofline without peaks rejected");
 
@@ -830,9 +817,9 @@ int SelfTest() {
          "roofline gate fails when a baseline op disappears");
   // A per-op "tolerance" field tightens the floor for that op only.
   const char kPerOpBaseline[] =
-      "{\"baseline\":\"sthsl_report_roofline\",\"schema\":1,\"ops\":["
-      "{\"name\":\"matmul\",\"gflops\":4,\"tolerance\":10},"
-      "{\"name\":\"softmax\",\"gflops\":3.2768}]}";
+      R"({"baseline":"sthsl_report_roofline","schema":1,"ops":[)"
+      R"({"name":"matmul","gflops":4,"tolerance":10},)"
+      R"({"name":"softmax","gflops":3.2768}]})";
   expect(RunRooflineGate(kPerOpBaseline, "<selftest>", roofline, 60.0) == 0,
          "per-op tolerance passes at baseline performance");
   expect(RunRooflineGate(kPerOpBaseline, "<selftest>", slower_roofline,
@@ -842,14 +829,14 @@ int SelfTest() {
   // Serve bench parsing (sthsl_loadgen format): client latency plus the
   // server-side histograms scraped from /metrics, p99 included.
   expect(ParseBenchText(
-             "{\"benchmark\":\"sthsl_serve\",\"connections\":2,"
-             "\"seconds\":1.5,\"requests\":300,\"errors\":0,"
-             "\"trace_mismatches\":0,\"cache_hits\":250,\"qps\":200,"
-             "\"latency_us\":{\"mean\":90,\"p50\":80,\"p95\":200,"
-             "\"p99\":400},\"server\":{\"serve/latency_us\":{\"count\":300,"
-             "\"mean\":60,\"p50\":50,\"p95\":150,\"p99\":350},"
-             "\"serve/stage/inference_us\":{\"count\":50,\"mean\":40,"
-             "\"p50\":35,\"p95\":90,\"p99\":120}}}",
+             R"({"benchmark":"sthsl_serve","connections":2,)"
+             R"("seconds":1.5,"requests":300,"errors":0,)"
+             R"("trace_mismatches":0,"cache_hits":250,"qps":200,)"
+             R"("latency_us":{"mean":90,"p50":80,"p95":200,)"
+             R"("p99":400},"server":{"serve/latency_us":{"count":300,)"
+             R"("mean":60,"p50":50,"p95":150,"p99":350},)"
+             R"("serve/stage/inference_us":{"count":50,"mean":40,)"
+             R"("p50":35,"p95":90,"p99":120}}})",
              "<selftest>", &bench, &serve_bench, &parallel),
          "serve bench json parses");
   expect(serve_bench.size() == 1, "one serve bench extracted");
@@ -870,7 +857,7 @@ int SelfTest() {
            "server stage row carries p99");
   }
   std::vector<ServeBench> bad_serve;
-  expect(!ParseBenchText("{\"benchmark\":\"sthsl_serve\",\"qps\":1}",
+  expect(!ParseBenchText(R"({"benchmark":"sthsl_serve","qps":1})",
                          "<selftest>", &bench, &bad_serve, &parallel),
          "serve bench without latency_us rejected");
 

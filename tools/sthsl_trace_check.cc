@@ -79,9 +79,18 @@ bool ValidateTrace(const JsonValue& root) {
   return true;
 }
 
+/// A numeric field may legitimately be null (every emitter renders
+/// non-finite values as null); everything else must be a number.
+bool NumberOrNull(const JsonValue& record, const char* field) {
+  const JsonValue* value = record.Find(field);
+  return value != nullptr &&
+         (value->Is(kNum) || value->Is(JsonValue::Kind::kNull));
+}
+
 /// Metrics dump: root object with counters/gauges/histograms objects plus an
 /// ops array of per-op profiles. Histogram snapshots must carry the full
-/// count/min/max/mean/p50/p95/p99 summary (all numeric).
+/// count/min/max/mean/p50/p95/p99 summary: a numeric count, the rest numeric
+/// or null.
 bool ValidateMetrics(const JsonValue& root) {
   if (!root.Is(kObj)) {
     return Complain("metrics root is not an object");
@@ -96,11 +105,13 @@ bool ValidateMetrics(const JsonValue& root) {
     if (!snapshot.Is(kObj)) {
       return Complain("histogram '" + name + "' is not an object");
     }
-    for (const char* field :
-         {"count", "min", "max", "mean", "p50", "p95", "p99"}) {
-      if (snapshot.FindOfKind(field, kNum) == nullptr) {
-        return Complain("histogram '" + name + "' lacks numeric \"" + field +
-                        "\"");
+    if (snapshot.FindOfKind("count", kNum) == nullptr) {
+      return Complain("histogram '" + name + "' lacks numeric \"count\"");
+    }
+    for (const char* field : {"min", "max", "mean", "p50", "p95", "p99"}) {
+      if (!NumberOrNull(snapshot, field)) {
+        return Complain("histogram '" + name + "' lacks numeric or null \"" +
+                        field + "\"");
       }
     }
   }
@@ -224,14 +235,6 @@ bool ValidateRoofline(const JsonValue& root) {
 }
 
 // -- Run-ledger (JSONL) validation --------------------------------------------
-
-/// A numeric field may legitimately be null (non-finite values are rendered
-/// as null by the ledger); everything else must be a number.
-bool NumberOrNull(const JsonValue& record, const char* field) {
-  const JsonValue* value = record.Find(field);
-  return value != nullptr &&
-         (value->Is(kNum) || value->Is(JsonValue::Kind::kNull));
-}
 
 bool ValidateLedgerHeader(const JsonValue& record, const std::string& where) {
   if (record.FindOfKind("schema", kNum) == nullptr ||
@@ -547,6 +550,11 @@ int SelfTest() {
        "\"forward_us\":12.5,\"backward_calls\":10,\"backward_us\":20.0,"
        "\"bytes_touched\":4096}],"
        "\"scopes\":[],\"tensor_memory\":{\"live_bytes\":0,\"peak_bytes\":9}}",
+       true},
+      {"metrics with null (non-finite) fields", "metrics",
+       R"({"counters":{},"gauges":{"train/loss":null},)"
+       R"("histograms":{"grad_norm":{"count":1,"min":null,"max":null,)"
+       R"("mean":null,"p50":null,"p95":null,"p99":null}}})",
        true},
       {"metrics missing histograms", "metrics",
        "{\"counters\":{},\"gauges\":{},\"ops\":[]}", false},
