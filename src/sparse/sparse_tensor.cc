@@ -228,11 +228,15 @@ Status SparseTensor::Validate() const {
   if (row_ptr.front() != 0 || row_ptr.back() != nnz) {
     return Status::InvalidArgument("sparse tensor: CSR row_ptr endpoints");
   }
+  // All of row_ptr is checked before any column is read: with the endpoints
+  // pinned to 0 and nnz, monotone offsets keep every cols[e] in bounds.
   for (size_t r = 0; r + 1 < row_ptr.size(); ++r) {
     if (row_ptr[r] > row_ptr[r + 1]) {
       return Status::InvalidArgument("sparse tensor: CSR row_ptr not "
                                      "monotone");
     }
+  }
+  for (size_t r = 0; r + 1 < row_ptr.size(); ++r) {
     for (int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
       const int64_t c = cols[static_cast<size_t>(e)];
       if (c < 0 || c >= shape_[1]) {

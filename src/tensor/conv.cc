@@ -28,10 +28,6 @@
 namespace sthsl {
 namespace {
 
-bool NeedsGrad(const Tensor& t) {
-  return t.Defined() && (t.RequiresGrad() || t.GradFn() != nullptr);
-}
-
 // Target multiply-add count per parallel chunk (see docs/performance.md).
 constexpr int64_t kConvGrainFlops = int64_t{1} << 17;
 

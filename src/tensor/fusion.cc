@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <string>
 
@@ -14,73 +14,58 @@
 namespace sthsl {
 namespace {
 
-// Same elementwise grain as ops.cc (see docs/performance.md).
-constexpr int64_t kFusedGrain = 16384;
-
 std::atomic<int> g_fusion_override{-1};
-
-bool NeedsGrad(const Tensor& t) {
-  return t.Defined() && (t.RequiresGrad() || t.GradFn() != nullptr);
-}
 
 void EnsureMaterialized(const Tensor& t) {
   const auto impl = t.Impl();
   if (impl != nullptr && impl->pending != nullptr) MaterializePending(*impl);
 }
 
-template <typename F>
-void ApplyScalar(float* buf, int64_t n, F f) {
-  for (int64_t i = 0; i < n; ++i) buf[i] = f(buf[i]);
+// A step's kernel call, by the kernel's signature.
+using BinaryKernel = void (*)(int64_t, const float*, const float*, float*);
+using ScalarKernel = void (*)(int64_t, const float*, float, float*);
+using UnaryKernel = void (*)(int64_t, const float*, float*);
+
+template <typename Fwd>
+void RunStep(BinaryKernel k, Fwd, float* buf, const float* rhs, float,
+             int64_t n) {
+  k(n, buf, rhs, buf);
+}
+template <typename Fwd>
+void RunStep(ScalarKernel k, Fwd, float* buf, const float*, float s,
+             int64_t n) {
+  k(n, buf, s, buf);
+}
+template <typename Fwd>
+void RunStep(UnaryKernel k, Fwd, float* buf, const float*, float, int64_t n) {
+  k(n, buf, buf);
+}
+// Rows without a kernel: the row's scalar formula (libm for
+// transcendentals), exactly as the eager op evaluates it.
+template <typename Fwd>
+void RunStep(std::nullptr_t, Fwd fwd, float* buf, const float*, float,
+             int64_t n) {
+  for (int64_t i = 0; i < n; ++i) buf[i] = fwd(buf[i]);
 }
 
-// Applies one step in place over a contiguous strip: through the simd
-// kernels where one exists (all lane-exact), otherwise with the scalar
-// formula of the eager ops.cc lambda (libm for transcendentals), so a
-// materialized chain equals the eager op sequence bitwise.
-void ApplyStep(const FusedStep& s, float* buf, const float* rhs, int64_t n) {
+// Applies one step in place over a contiguous strip.
+void ApplyStep(const FusedStep& step, float* buf, const float* rhs,
+               int64_t n) {
   const auto& ks = simd::Kernels();
-  const float c = s.scalar;
-  switch (s.op) {
-    case FusedOp::kAdd:
-      return ks.add(n, buf, rhs, buf);
-    case FusedOp::kSub:
-      return ks.sub(n, buf, rhs, buf);
-    case FusedOp::kMul:
-      return ks.mul(n, buf, rhs, buf);
-    case FusedOp::kDiv:
-      return ks.div(n, buf, rhs, buf);
-    case FusedOp::kAddScalar:
-      return ks.add_scalar(n, buf, c, buf);
-    case FusedOp::kMulScalar:
-      return ks.mul_scalar(n, buf, c, buf);
-    case FusedOp::kSquare:
-      return ks.mul(n, buf, buf, buf);
-    case FusedOp::kRelu:
-      return ks.relu(n, buf, buf);
-    case FusedOp::kLeakyRelu:
-      return ks.leaky_relu(n, buf, c, buf);
-    case FusedOp::kClampMin:
-      return ks.clamp_min(n, buf, c, buf);
-    case FusedOp::kNeg:
-      return ApplyScalar(buf, n, [](float x) { return -x; });
-    case FusedOp::kExp:
-      return ApplyScalar(buf, n, [](float x) { return std::exp(x); });
-    case FusedOp::kLog:
-      return ApplyScalar(buf, n, [](float x) {
-        return std::log(std::max(x, 1e-12f));
-      });
-    case FusedOp::kSqrt:
-      return ApplyScalar(buf, n, [](float x) { return std::sqrt(x); });
-    case FusedOp::kAbs:
-      return ApplyScalar(buf, n, [](float x) { return std::fabs(x); });
-    case FusedOp::kPowScalar:
-      return ApplyScalar(buf, n, [c](float x) { return std::pow(x, c); });
-    case FusedOp::kSigmoid:
-      return ApplyScalar(buf, n, [](float x) {
-        return 1.0f / (1.0f + std::exp(-x));
-      });
-    case FusedOp::kTanh:
-      return ApplyScalar(buf, n, [](float x) { return std::tanh(x); });
+  const float s = step.scalar;
+  switch (step.op) {
+#define STHSL_FUSED_FWD_BINARY(fwd) [](float x, float y) { return fwd; }
+#define STHSL_FUSED_FWD_UNARY(fwd) [](float x) { return fwd; }
+#define STHSL_FUSED_FWD_SCALAR(fwd) [=](float x) { return fwd; }
+#define STHSL_FUSED_STEP(Fn, name, kind, fwd, d0, d1, reads_fx, kernel,     \
+                         checks)                                             \
+  case FusedOp::k##Fn:                                                       \
+    return RunStep(kernel, STHSL_FUSED_FWD_##kind(fwd), buf, rhs, s, n);
+    STHSL_ELEMENTWISE_OPS(STHSL_FUSED_STEP)
+#undef STHSL_FUSED_STEP
+#undef STHSL_FUSED_FWD_SCALAR
+#undef STHSL_FUSED_FWD_UNARY
+#undef STHSL_FUSED_FWD_BINARY
   }
 }
 
@@ -123,11 +108,6 @@ bool RecordsGrad(const Tensor& a, const Tensor& b) {
 }
 
 }  // namespace
-
-bool FusedOpIsBinary(FusedOp op) {
-  return op == FusedOp::kAdd || op == FusedOp::kSub || op == FusedOp::kMul ||
-         op == FusedOp::kDiv;
-}
 
 bool FusionEnabled() {
   const int forced = g_fusion_override.load(std::memory_order_acquire);
@@ -182,7 +162,7 @@ void MaterializePending(TensorImpl& impl) {
   std::vector<const float*> rhs_ptr(steps.size(), nullptr);
   int64_t binary_steps = 0;
   for (size_t k = 0; k < steps.size(); ++k) {
-    if (!FusedOpIsBinary(steps[k].op)) continue;
+    if (!steps[k].rhs.Defined()) continue;
     rhs_ptr[k] = steps[k].rhs.Data().data();
     ++binary_steps;
   }
@@ -190,7 +170,7 @@ void MaterializePending(TensorImpl& impl) {
   // One pass per chunk: seed with the root values, then apply every step in
   // place — no intermediate tensors exist at any point.
   exec::ParallelFor(
-      0, n, kFusedGrain,
+      0, n, kElemGrain,
       [&](int64_t lo, int64_t hi) {
         std::copy(rv + lo, rv + hi, out + lo);
         for (size_t k = 0; k < steps.size(); ++k) {

@@ -3,17 +3,18 @@
 
 // Eager elementwise-chain fusion.
 //
-// Same-shape elementwise ops (add/sub/mul/div, scalar variants, and the
-// unary activations) do not evaluate immediately: they return a *pending*
-// tensor whose TensorImpl carries a FusedChain — a materialized root tensor
-// plus up to kMaxFusedSteps ops to apply to it. Chaining another fusable op
-// onto a pending tensor extends the chain instead of materializing it, so a
-// z-score → add-bias → activation → dropout-mask pipeline becomes ONE loop
-// nest over the data with zero intermediate tensor buffers. Any access to
-// the values (Data, Item, At, Backward, ...) materializes the chain in a
-// single pass over the simd microkernels. Every fused op is a lane-exact
-// IEEE operation or the eager op's scalar libm formula (see simd/simd.h),
-// so a materialized chain equals the eager op sequence bitwise.
+// Same-shape elementwise ops (every row of the op table in
+// tensor/elementwise_ops.h) do not evaluate immediately: they return a
+// *pending* tensor whose TensorImpl carries a FusedChain — a materialized
+// root tensor plus up to kMaxFusedSteps ops to apply to it. Chaining another
+// fusable op onto a pending tensor extends the chain instead of
+// materializing it, so a z-score → add-bias → activation → dropout-mask
+// pipeline becomes ONE loop nest over the data with zero intermediate tensor
+// buffers. Any access to the values (Data, Item, At, Backward, ...)
+// materializes the chain in a single pass: each step runs its row's simd
+// kernel, a lane-exact IEEE operation (see simd/simd.h), or else the row's
+// scalar formula, the same one the eager op evaluates, so a materialized
+// chain equals the eager op sequence bitwise.
 //
 // Only grad-free chains fuse: an op declines (and takes the eager kernels)
 // when gradient recording is on and any operand needs grad. Chains form in
@@ -32,39 +33,23 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/elementwise_ops.h"
 #include "tensor/tensor.h"
 
 namespace sthsl {
 
-/// Ops a chain step can apply. Binary ops consume a same-shape rhs tensor;
-/// scalar ops carry an immediate operand.
+/// Ops a chain step can apply: one per row of the elementwise op table.
+/// Binary ops consume a same-shape rhs tensor; scalar ops carry an
+/// immediate operand.
 enum class FusedOp {
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  kAddScalar,
-  kMulScalar,
-  kNeg,
-  kExp,
-  kLog,
-  kSqrt,
-  kAbs,
-  kSquare,
-  kPowScalar,
-  kSigmoid,
-  kTanh,
-  kRelu,
-  kLeakyRelu,
-  kClampMin,
+#define STHSL_FUSED_OP_ENUMERATOR(Fn, ...) k##Fn,
+  STHSL_ELEMENTWISE_OPS(STHSL_FUSED_OP_ENUMERATOR)
+#undef STHSL_FUSED_OP_ENUMERATOR
 };
-
-/// Returns true for the ops that take a same-shape rhs tensor.
-bool FusedOpIsBinary(FusedOp op);
 
 struct FusedStep {
   FusedOp op;
-  float scalar = 0.0f;  // kAddScalar/kMulScalar/kPowScalar/kLeakyRelu/kClampMin
+  float scalar = 0.0f;  // the operand s of SCALAR rows
   Tensor rhs;           // defined for binary ops only; always materialized
 };
 

@@ -1,5 +1,7 @@
 #include "tensor/kernel_cost.h"
 
+#include "tensor/elementwise_ops.h"
+
 namespace sthsl {
 namespace {
 
@@ -9,16 +11,10 @@ int64_t Product(const std::vector<int64_t>& shape) {
   return n;
 }
 
-bool IsBinaryElementwise(const std::string& name) {
-  return name == "add" || name == "sub" || name == "mul" || name == "div";
-}
-
-bool IsUnaryElementwise(const std::string& name) {
-  return name == "add_scalar" || name == "mul_scalar" || name == "neg" ||
-         name == "exp" || name == "log" || name == "sqrt" || name == "abs" ||
-         name == "pow_scalar" || name == "square" || name == "sigmoid" ||
-         name == "tanh" || name == "relu" || name == "leaky_relu" ||
-         name == "clamp_min";
+bool IsElementwise(const std::string& name) {
+#define STHSL_IS_ELEMENTWISE_NAME(Fn, op_name, ...) || name == op_name
+  return false STHSL_ELEMENTWISE_OPS(STHSL_IS_ELEMENTWISE_NAME);
+#undef STHSL_IS_ELEMENTWISE_NAME
 }
 
 bool IsReduction(const std::string& name) {
@@ -98,7 +94,7 @@ int64_t ForwardOpFlops(const std::string& op_name,
   if (op_name == "conv2d") return 2 * ConvCells(inputs, out_shape);
   if (op_name == "spmm") return 2 * SpmmCells(inputs, out_shape);
   if (op_name == "softmax") return 5 * out_numel;
-  if (IsBinaryElementwise(op_name) || IsUnaryElementwise(op_name)) {
+  if (IsElementwise(op_name)) {
     return out_numel;
   }
   if (const int64_t k = FusedChainSteps(op_name)) return k * out_numel;
@@ -120,7 +116,7 @@ int64_t BackwardOpFlops(const std::string& op_name,
     return flops;
   }
   if (op_name == "softmax") return 4 * out_numel;
-  if (IsBinaryElementwise(op_name) || IsUnaryElementwise(op_name)) {
+  if (IsElementwise(op_name)) {
     return 2 * out_numel;
   }
   return 0;

@@ -14,7 +14,7 @@
 //   matmul        2·batch·m·k·n           (multiply + add per cell)
 //   conv2d        batch·cout·cin·kh·kw·oh·ow·2   (bias fill is a write)
 //   softmax       5·numel                 (max-cmp, sub, exp, add, div)
-//   add/sub/mul/div and every elementwise unary    1·numel(out)
+//   every row of tensor/elementwise_ops.h          1·numel(out)
 //   sum_all / sum_dims                    numel(input) adds
 //   spmm          2·nnz·n                 (multiply + add per stored entry
 //                                          per output column; nnz is the
@@ -25,8 +25,8 @@
 //   matmul        4·batch·m·k·n           (dA = dC·Bᵀ plus dB = Aᵀ·dC)
 //   conv2d        2·fwd  (+ batch·cout·oh·ow bias-grad adds when biased)
 //   softmax       4·numel                 (dot: mul+add; scale: sub+mul)
-//   binary elementwise   2·numel(out)     (one product per input grad)
-//   unary elementwise    2·numel          (gv · df)
+//   binary elementwise rows   2·numel(out)   (one product per input grad)
+//   unary elementwise rows    2·numel        (gv · df)
 //   spmm          4·nnz·n                 (dvals row-dots plus db scatter)
 //   gather        numel(out) adds         (scatter-add into the table grad)
 //   reductions / movement ops / sparse_values      0

@@ -20,10 +20,6 @@
 namespace sthsl {
 namespace {
 
-bool NeedsGrad(const Tensor& t) {
-  return t.Defined() && (t.RequiresGrad() || t.GradFn() != nullptr);
-}
-
 // Target fused-multiply-add count per parallel chunk; keeps op-launch
 // overhead negligible for small problems (they run inline on the caller).
 constexpr int64_t kGemmGrainFlops = int64_t{1} << 17;

@@ -10,19 +10,12 @@
 #include "exec/exec.h"
 #include "simd/simd.h"
 #include "tensor/debug_validator.h"
+#include "tensor/elementwise_ops.h"
 #include "tensor/fusion.h"
 #include "util/check.h"
 
 namespace sthsl {
 namespace {
-
-bool NeedsGrad(const Tensor& t) {
-  return t.Defined() && (t.RequiresGrad() || t.GradFn() != nullptr);
-}
-
-// Minimum elements per parallel chunk for elementwise / gather kernels;
-// smaller tensors run inline on the caller (see docs/performance.md).
-constexpr int64_t kElemGrain = 16384;
 
 // Fixed chunk size for the global-sum reduction. This is a *determinism*
 // constant, not a tuning knob: Sum(all) partials are per-chunk, so changing
@@ -276,166 +269,63 @@ Tensor UnaryOp(const char* name, const Tensor& a, Fwd fwd, Df df) {
       });
 }
 
+// Every elementwise op validates its inputs (rows with checks), then offers
+// itself to the fusion layer: same-shape chains build a pending FusedChain
+// (one loop nest, no intermediates — see tensor/fusion.h) and only fall
+// through to the eager kernels when fusion is off, the shapes broadcast or
+// the result records a gradient.
+template <typename Fwd, typename Dx, typename Dy>
+Tensor ElementwiseBinary(FusedOp op, const char* name, bool checks,
+                         const Tensor& a, const Tensor& b, Fwd fwd, Dx dx,
+                         Dy dy) {
+  if (checks && DebugChecksEnabled()) {
+    ValidateOpInput(name, "a", a);
+    ValidateOpInput(name, "b", b);
+  }
+  if (Tensor f = TryFuseBinary(op, a, b); f.Defined()) return f;
+  return BroadcastBinary(name, a, b, fwd, dx, dy);
+}
+
+template <bool kDfReadsFx, typename Fwd, typename Df>
+Tensor ElementwiseUnary(FusedOp op, const char* name, bool checks,
+                        const Tensor& a, float s, Fwd fwd, Df df) {
+  if (checks && DebugChecksEnabled()) ValidateOpInput(name, "a", a);
+  if (Tensor f = TryFuseUnary(op, a, s); f.Defined()) return f;
+  return UnaryOp<kDfReadsFx>(name, a, fwd, df);
+}
+
 }  // namespace
 
-// -- Binary -------------------------------------------------------------------
-//
-// Each elementwise op first offers itself to the fusion layer: same-shape
-// chains build a pending FusedChain (one loop nest, no intermediates — see
-// tensor/fusion.h) and only fall through to the eager kernels below when
-// fusion is off, the shapes broadcast or the result records a gradient.
+// -- Elementwise (generated from tensor/elementwise_ops.h) --------------------
 
-Tensor Add(const Tensor& a, const Tensor& b) {
-  if (Tensor f = TryFuseBinary(FusedOp::kAdd, a, b); f.Defined()) return f;
-  return BroadcastBinary(
-      "add", a, b, [](float x, float y) { return x + y; },
-      [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; });
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  if (Tensor f = TryFuseBinary(FusedOp::kSub, a, b); f.Defined()) return f;
-  return BroadcastBinary(
-      "sub", a, b, [](float x, float y) { return x - y; },
-      [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; });
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  if (Tensor f = TryFuseBinary(FusedOp::kMul, a, b); f.Defined()) return f;
-  return BroadcastBinary(
-      "mul", a, b, [](float x, float y) { return x * y; },
-      [](float, float y) { return y; }, [](float x, float) { return x; });
-}
-
-Tensor Div(const Tensor& a, const Tensor& b) {
-  if (DebugChecksEnabled()) {
-    ValidateOpInput("div", "a", a);
-    ValidateOpInput("div", "b", b);
+#define STHSL_DEFINE_BINARY(Fn, name, fwd, dx, dy, reads_fx, checks)         \
+  Tensor Fn(const Tensor& a, const Tensor& b) {                               \
+    return ElementwiseBinary(                                                 \
+        FusedOp::k##Fn, name, checks, a, b,                                   \
+        [](float x, float y) { return fwd; },                                 \
+        [](float x, float y) { return dx; },                                  \
+        [](float x, float y) { return dy; });                                 \
   }
-  if (Tensor f = TryFuseBinary(FusedOp::kDiv, a, b); f.Defined()) return f;
-  return BroadcastBinary(
-      "div", a, b, [](float x, float y) { return x / y; },
-      [](float, float y) { return 1.0f / y; },
-      [](float x, float y) { return -x / (y * y); });
-}
-
-Tensor AddScalar(const Tensor& a, float s) {
-  if (Tensor f = TryFuseUnary(FusedOp::kAddScalar, a, s); f.Defined()) return f;
-  return UnaryOp<false>(
-      "add_scalar", a, [s](float x) { return x + s; },
-      [](float, float) { return 1.0f; });
-}
-
-Tensor MulScalar(const Tensor& a, float s) {
-  if (Tensor f = TryFuseUnary(FusedOp::kMulScalar, a, s); f.Defined()) return f;
-  return UnaryOp<false>(
-      "mul_scalar", a, [s](float x) { return x * s; },
-      [s](float, float) { return s; });
-}
-
-// -- Unary --------------------------------------------------------------------
-
-Tensor Neg(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kNeg, a); f.Defined()) return f;
-  return UnaryOp<false>(
-      "neg", a, [](float x) { return -x; },
-      [](float, float) { return -1.0f; });
-}
-
-Tensor Exp(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kExp, a); f.Defined()) return f;
-  return UnaryOp<true>(
-      "exp", a, [](float x) { return std::exp(x); },
-      [](float, float fx) { return fx; });
-}
-
-Tensor Log(const Tensor& a) {
-  if (DebugChecksEnabled()) ValidateOpInput("log", "a", a);
-  if (Tensor f = TryFuseUnary(FusedOp::kLog, a); f.Defined()) return f;
-  return UnaryOp<false>(
-      "log", a, [](float x) { return std::log(std::max(x, 1e-12f)); },
-      [](float x, float) { return 1.0f / std::max(x, 1e-12f); });
-}
-
-Tensor Sqrt(const Tensor& a) {
-  if (DebugChecksEnabled()) ValidateOpInput("sqrt", "a", a);
-  if (Tensor f = TryFuseUnary(FusedOp::kSqrt, a); f.Defined()) return f;
-  return UnaryOp<true>(
-      "sqrt", a, [](float x) { return std::sqrt(x); },
-      [](float, float fx) { return 0.5f / std::max(fx, 1e-12f); });
-}
-
-Tensor Abs(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kAbs, a); f.Defined()) return f;
-  return UnaryOp<false>(
-      "abs", a, [](float x) { return std::fabs(x); },
-      [](float x, float) { return x >= 0.0f ? 1.0f : -1.0f; });
-}
-
-Tensor PowScalar(const Tensor& a, float exponent) {
-  if (Tensor f = TryFuseUnary(FusedOp::kPowScalar, a, exponent); f.Defined()) {
-    return f;
+#define STHSL_DEFINE_UNARY(Fn, name, fwd, df, unused, reads_fx, checks)      \
+  Tensor Fn(const Tensor& a) {                                                \
+    return ElementwiseUnary<reads_fx>(                                        \
+        FusedOp::k##Fn, name, checks, a, 0.0f,                                \
+        [](float x) { return fwd; }, [](float x, float fx) { return df; });   \
   }
-  return UnaryOp<false>(
-      "pow_scalar", a,
-      [exponent](float x) { return std::pow(x, exponent); },
-      [exponent](float x, float) {
-        return exponent * std::pow(x, exponent - 1.0f);
-      });
-}
-
-Tensor Square(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kSquare, a); f.Defined()) return f;
-  return UnaryOp<false>(
-      "square", a, [](float x) { return x * x; },
-      [](float x, float) { return 2.0f * x; });
-}
-
-Tensor Sigmoid(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kSigmoid, a); f.Defined()) return f;
-  return UnaryOp<true>(
-      "sigmoid", a,
-      [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float fx) { return fx * (1.0f - fx); });
-}
-
-Tensor Tanh(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kTanh, a); f.Defined()) return f;
-  return UnaryOp<true>(
-      "tanh", a, [](float x) { return std::tanh(x); },
-      [](float, float fx) { return 1.0f - fx * fx; });
-}
-
-Tensor Relu(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kRelu, a); f.Defined()) return f;
-  return UnaryOp<false>(
-      "relu", a, [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
-}
-
-Tensor LeakyRelu(const Tensor& a, float negative_slope) {
-  if (Tensor f = TryFuseUnary(FusedOp::kLeakyRelu, a, negative_slope);
-      f.Defined()) {
-    return f;
+#define STHSL_DEFINE_SCALAR(Fn, name, fwd, df, unused, reads_fx, checks)     \
+  Tensor Fn(const Tensor& a, float s) {                                       \
+    return ElementwiseUnary<reads_fx>(                                        \
+        FusedOp::k##Fn, name, checks, a, s, [=](float x) { return fwd; },     \
+        [=](float x, float fx) { return df; });                               \
   }
-  return UnaryOp<false>(
-      "leaky_relu", a,
-      [negative_slope](float x) {
-        return x > 0.0f ? x : negative_slope * x;
-      },
-      [negative_slope](float x, float) {
-        return x > 0.0f ? 1.0f : negative_slope;
-      });
-}
-
-Tensor ClampMin(const Tensor& a, float floor) {
-  if (Tensor f = TryFuseUnary(FusedOp::kClampMin, a, floor); f.Defined()) {
-    return f;
-  }
-  return UnaryOp<false>(
-      "clamp_min", a,
-      [floor](float x) { return x > floor ? x : floor; },
-      [floor](float x, float) { return x > floor ? 1.0f : 0.0f; });
-}
+#define STHSL_DEFINE_ELEMENTWISE(Fn, name, kind, fwd, d0, d1, reads_fx,      \
+                                 kernel, checks)                              \
+  STHSL_DEFINE_##kind(Fn, name, fwd, d0, d1, reads_fx, checks)
+STHSL_ELEMENTWISE_OPS(STHSL_DEFINE_ELEMENTWISE)
+#undef STHSL_DEFINE_ELEMENTWISE
+#undef STHSL_DEFINE_SCALAR
+#undef STHSL_DEFINE_UNARY
+#undef STHSL_DEFINE_BINARY
 
 Tensor Dropout(const Tensor& a, float p, Rng& rng, bool training) {
   STHSL_CHECK(p >= 0.0f && p < 1.0f) << "invalid dropout probability " << p;

@@ -7,13 +7,6 @@
 #include "util/check.h"
 
 namespace sthsl {
-namespace {
-
-bool NeedsGrad(const Tensor& t) {
-  return t.Defined() && (t.RequiresGrad() || t.GradFn() != nullptr);
-}
-
-}  // namespace
 
 sparse::SparseTensor ToSparse(const Tensor& t, sparse::ZeroPolicy policy) {
   STHSL_CHECK(t.Defined());

@@ -388,6 +388,10 @@ std::string Tensor::ToString() const {
   return os.str();
 }
 
+bool NeedsGrad(const Tensor& t) {
+  return t.Defined() && (t.RequiresGrad() || t.GradFn() != nullptr);
+}
+
 Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
                   std::string op_name, std::vector<Tensor> inputs,
                   std::function<std::vector<Tensor>(const Tensor&)> backward) {
@@ -411,15 +415,8 @@ Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
   impl->shape = std::move(shape);
   impl->data = std::move(data);
 
-  bool any_requires = false;
-  for (const auto& input : inputs) {
-    if (input.Defined() &&
-        (input.RequiresGrad() || input.GradFn() != nullptr)) {
-      any_requires = true;
-      break;
-    }
-  }
-  if (GradRecordingEnabled() && any_requires) {
+  if (GradRecordingEnabled() &&
+      std::any_of(inputs.begin(), inputs.end(), NeedsGrad)) {
     auto node = std::make_shared<GradNode>();
     node->op_name = std::move(op_name);
     node->inputs = std::move(inputs);

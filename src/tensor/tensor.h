@@ -168,6 +168,10 @@ std::vector<int64_t> StridesOf(const std::vector<int64_t>& shape);
 std::vector<int64_t> BroadcastShapes(const std::vector<int64_t>& a,
                                      const std::vector<int64_t>& b);
 
+/// True when `t` takes part in autograd: a leaf that requires grad, or an
+/// op result that recorded a grad node.
+bool NeedsGrad(const Tensor& t);
+
 /// Helper for ops: builds a result tensor that records `node` when gradient
 /// recording is on and any input requires grad.
 Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,

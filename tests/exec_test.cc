@@ -291,10 +291,10 @@ TEST(ExecObs, ScopeProfileAccumulatesBusyTimeAndSlices) {
   exec::SetThreadCount(4);
   const bool previous = obs::SetTraceEnabled(true);
   obs::ResetProfiler();
-  volatile int64_t sink = 0;
   exec::ParallelFor(
       0, int64_t{1} << 16, 1,
-      [&](int64_t b, int64_t e) {
+      [](int64_t b, int64_t e) {
+        volatile int64_t sink = 0;  // per chunk: workers share no writes
         for (int64_t i = b; i < e; ++i) sink = sink + i;
       },
       "exec/busy_region");

@@ -148,7 +148,8 @@ TEST(KernelCostProfilerTest, SoftmaxBackwardAttributed) {
   Rng rng(11);
   Tensor x = Tensor::Randn({4, 5}, rng, 1.0f, /*requires_grad=*/true);
   Sum(Softmax(x, 1)).Backward();
-  const obs::OpProfile* softmax = FindOp(obs::OpProfiles(), "softmax");
+  const std::vector<obs::OpProfile> ops = obs::OpProfiles();
+  const obs::OpProfile* softmax = FindOp(ops, "softmax");
   ASSERT_NE(softmax, nullptr);
   EXPECT_EQ(softmax->forward_flops, 5 * 20);
   EXPECT_EQ(softmax->backward_flops, 4 * 20);

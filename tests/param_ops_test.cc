@@ -79,6 +79,14 @@ std::vector<UnaryOpCase> UnaryCases() {
        0.3f, 2.0f},
       {"leaky_neg", [](const Tensor& t) { return LeakyRelu(t, 0.2f); },
        -2.0f, -0.3f},
+      {"relu_pos", [](const Tensor& t) { return Relu(t); }, 0.3f, 2.0f},
+      {"relu_neg", [](const Tensor& t) { return Relu(t); }, -2.0f, -0.3f},
+      {"clamp_min_above", [](const Tensor& t) { return ClampMin(t, 0.5f); },
+       0.8f, 2.0f},
+      {"clamp_min_below", [](const Tensor& t) { return ClampMin(t, 0.5f); },
+       -1.0f, 0.2f},
+      {"pow_scalar_pos", [](const Tensor& t) { return PowScalar(t, 1.5f); },
+       0.5f, 2.0f},
       {"scalar_affine",
        [](const Tensor& t) { return AddScalar(MulScalar(t, 2.5f), -1.0f); },
        -1.0f, 1.0f},

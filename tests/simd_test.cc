@@ -13,7 +13,9 @@
 //    identical to the unfused graph, gradcheck passes, broadcasts fall back
 //    to eager, intermediate allocations disappear;
 //  - thread invariance: vectorized and fused paths are bitwise stable
-//    across thread counts.
+//    across thread counts;
+//  - op table: every row of tensor/elementwise_ops.h fuses to the eager
+//    op's bits and is costed as an elementwise op.
 
 #include <algorithm>
 #include <bit>
@@ -28,7 +30,10 @@
 
 #include "exec/exec.h"
 #include "simd/simd.h"
+#include "tensor/debug_validator.h"
+#include "tensor/elementwise_ops.h"
 #include "tensor/fusion.h"
+#include "tensor/kernel_cost.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/obs/obs.h"
@@ -598,6 +603,83 @@ TEST(Fusion, GradcheckFusedChainsOverTailSizes) {
           return Sum(Square(z));
         },
         {a, b});
+  }
+}
+
+// -------------------------------------------------------------- op table --
+
+// One row of the elementwise op table as a callable: binary rows take
+// (a, b), unary rows ignore b, scalar rows pass `s` as their operand.
+struct ElementwiseRow {
+  std::string name;
+  std::function<Tensor(const Tensor&, const Tensor&)> op;
+};
+
+std::vector<ElementwiseRow> ElementwiseRows(float s) {
+#define STHSL_TEST_CALL_BINARY(Fn) \
+  [](const Tensor& a, const Tensor& b) { return Fn(a, b); }
+#define STHSL_TEST_CALL_UNARY(Fn) \
+  [](const Tensor& a, const Tensor&) { return Fn(a); }
+#define STHSL_TEST_CALL_SCALAR(Fn) \
+  [s](const Tensor& a, const Tensor&) { return Fn(a, s); }
+#define STHSL_TEST_ROW(Fn, name, kind, ...) {name, STHSL_TEST_CALL_##kind(Fn)},
+  return {STHSL_ELEMENTWISE_OPS(STHSL_TEST_ROW)};
+#undef STHSL_TEST_ROW
+#undef STHSL_TEST_CALL_SCALAR
+#undef STHSL_TEST_CALL_UNARY
+#undef STHSL_TEST_CALL_BINARY
+}
+
+TEST(OpTable, FusedChainBitwiseEqualsEagerOpForEveryRow) {
+  SimdOverrideGuard guard;
+  ThreadCountGuard thread_guard;
+  NoGradGuard no_grad;
+  // The inputs produce NaN and +-inf on purpose (0/0, sqrt of negatives),
+  // which the STHSL_DEBUG_CHECKS validator rejects, so it is off here.
+  struct DebugChecksOff {
+    bool previous = SetDebugChecks(false);
+    ~DebugChecksOff() { SetDebugChecks(previous); }
+  } checks_off;
+  for (const auto* ks : CompiledVariants()) {
+    simd::SetKernelsForTesting(ks);
+    for (const float s : {0.37f, -2.0f, 0.0f}) {
+      for (const auto& row : ElementwiseRows(s)) {
+        for (const int threads : {1, 4}) {
+          exec::SetThreadCount(threads);
+          for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{17},
+                                  int64_t{63}, int64_t{16385}}) {
+            // Both operands start with +0 and -0.
+            const Tensor x = Tensor::FromVector({n}, RandomValues(n, 300 + n));
+            const Tensor y = Tensor::FromVector({n}, RandomValues(n, 400 + n));
+            SetFusionEnabledForTesting(0);
+            const Tensor eager = row.op(row.op(x, y), y);
+            SetFusionEnabledForTesting(1);
+            const Tensor fused = row.op(row.op(x, y), y);
+            const std::string tag = row.name + " " + ks->name +
+                                    " s=" + std::to_string(s) +
+                                    " threads=" + std::to_string(threads) +
+                                    " n=" + std::to_string(n);
+            ASSERT_EQ(PendingSteps(fused), 2u) << tag;
+            ExpectBitwiseEq(fused.Data(), eager.Data(), tag);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OpTable, EveryRowRecordsItsNameAndElementwiseCost) {
+  SimdOverrideGuard guard;
+  Rng rng(21);
+  const Tensor x =
+      Tensor::Rand({3, 5}, rng, 0.5f, 1.5f, /*requires_grad=*/true);
+  const Tensor y = Tensor::Rand({3, 5}, rng, 0.5f, 1.5f);
+  for (const auto& row : ElementwiseRows(0.5f)) {
+    const Tensor out = row.op(x, y);
+    ASSERT_NE(out.GradFn(), nullptr) << row.name;
+    EXPECT_EQ(out.GradFn()->op_name, row.name);
+    EXPECT_EQ(ForwardOpFlops(row.name, {x, y}, {3, 5}), 15) << row.name;
+    EXPECT_EQ(BackwardOpFlops(row.name, {x, y}, {3, 5}), 30) << row.name;
   }
 }
 
