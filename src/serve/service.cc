@@ -277,7 +277,7 @@ HttpResponse PredictService::HandleMetrics(const HttpRequest& request) {
 
   // Content negotiation: Prometheus text exposition when the client asks
   // for text/plain or OpenMetrics; the JSON document stays the default so
-  // existing scrapers (loadgen, trace_check) keep working unchanged.
+  // existing scrapers (loadgen, sthsl_report check) keep working unchanged.
   const std::string& accept = HeaderOrEmpty(request, "accept");
   const bool prometheus =
       accept.find("text/plain") != std::string::npos ||

@@ -21,8 +21,8 @@ void PrintObsSummary(std::FILE* out);
 Status WriteChromeTrace(const std::string& path);
 
 /// Writes the metrics registry + per-op/scope profiles + tensor-memory
-/// accounting as one JSON object (consumed by the bench harness and the
-/// sthsl_trace_check tool).
+/// accounting as one JSON object (consumed by the bench harness and
+/// `sthsl_report check metrics`).
 Status WriteMetricsJson(const std::string& path);
 
 /// The JSON body WriteMetricsJson writes, for in-process consumers.

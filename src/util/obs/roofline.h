@@ -6,7 +6,7 @@
 // hardware-counter readings into per-op achieved GFLOP/s, GB/s, %-of-roof
 // and a compute/memory-bound verdict. Rendered to BENCH_roofline.json by
 // bench_kernels, to markdown by `sthsl_report --roofline`, and validated by
-// `sthsl_trace_check roofline`. Methodology: docs/performance.md.
+// `sthsl_report check roofline`. Methodology: docs/performance.md.
 
 #include <cstdint>
 #include <string>

@@ -17,7 +17,7 @@ namespace sthsl::obs {
 /// stop) and a closing final-eval record with the masked test metrics.
 ///
 /// `tools/sthsl_report` aggregates N ledgers into comparison tables and a
-/// quality/efficiency regression gate; `sthsl_trace_check --run-log`
+/// quality/efficiency regression gate; `sthsl_report check run-log`
 /// validates the schema (see docs/observability.md for the record layout).
 ///
 /// Activation: a per-run path (`TrainConfig::run_log`, `sthsl_cli train

@@ -1,7 +1,13 @@
-// sthsl_report — aggregates run-ledger JSONL files (and optionally bench
-// JSON dumps) into human-readable comparison tables, and gates CI on
-// quality/speed regressions against a committed baseline:
+// sthsl_report — the one reader of the library's JSON artifacts. It
+// aggregates run-ledger JSONL files (and optionally bench JSON dumps) into
+// human-readable comparison tables, gates CI on quality/speed regressions
+// against a committed baseline, and validates every artifact kind:
 //
+//   sthsl_report check trace trace.json             # chrome://tracing events
+//   sthsl_report check metrics metrics.json         # metrics/op-profile dump
+//   sthsl_report check run-log run.jsonl            # experiment run ledger
+//   sthsl_report check access-log access.jsonl      # serving access log
+//   sthsl_report check roofline BENCH_roofline.json # roofline bench dump
 //   sthsl_report run1.jsonl run2.jsonl              # markdown table
 //   sthsl_report --csv runs/*.jsonl                 # CSV for spreadsheets
 //   sthsl_report --bench BENCH_table5_efficiency.json runs/*.jsonl
@@ -14,23 +20,30 @@
 //   sthsl_report --roofline BENCH_roofline.json \
 //                --gate-roofline bench/roofline_baseline.json \
 //                --roofline-tolerance 75             # per-op GFLOP/s floors
-//   sthsl_report --selftest
+//   sthsl_report --selftest                         # embedded samples
+//
+// `check` exits 0 for a valid file, 1 for an invalid one and 2 on usage
+// errors. Each document kind has exactly one parser, so a file `check`
+// accepts is a file the renderers and gates accept: ParseLedgerText reads
+// every run ledger and ParseRooflineText every BENCH_roofline.json.
 //
 // A run is one header→final span in a ledger (see src/util/obs/run_ledger.h
 // for the writer). The gate compares, per (model, city), the final masked
 // test MAE and the mean epoch wall time against the baseline entry and
-// fails when either exceeds baseline * (1 + tolerance/100). Missing models
-// fail the gate too — a bench that silently stops covering a model must not
-// pass. Dependency-free like sthsl_trace_check: the validators must stay
-// trustworthy without linking the library they check.
+// fails when either exceeds baseline * (1 + tolerance/100), or when the run
+// lacks the number the baseline sets. Missing models fail the gate too — a
+// bench that silently stops covering a model must not pass. Deliberately
+// dependency-free (no sthsl lib, no third-party JSON): the validators must
+// stay trustworthy without linking the library they check.
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json_mini.h"
@@ -44,6 +57,7 @@ constexpr JsonValue::Kind kNum = JsonValue::Kind::kNumber;
 constexpr JsonValue::Kind kStr = JsonValue::Kind::kString;
 constexpr JsonValue::Kind kObj = JsonValue::Kind::kObject;
 constexpr JsonValue::Kind kArr = JsonValue::Kind::kArray;
+constexpr JsonValue::Kind kNull = JsonValue::Kind::kNull;
 
 const double kNan = std::nan("");
 
@@ -151,73 +165,360 @@ std::string StringOr(const JsonValue& record, const char* field,
   return value == nullptr ? fallback : value->text;
 }
 
-// -- Ledger aggregation -------------------------------------------------------
+// -- Trace, metrics and access log (validated only) --------------------------
 
+/// Chrome trace-event format: root object with a "traceEvents" array; every
+/// event is an object carrying name/ph (strings), ts/pid/tid (numbers), and
+/// a numeric dur for "X" complete events.
+bool ValidateTrace(const JsonValue& root) {
+  if (!root.Is(kObj)) {
+    return Complain("trace root is not an object");
+  }
+  const JsonValue* events = root.Find("traceEvents");
+  if (events == nullptr || !events->Is(kArr)) {
+    return Complain("missing \"traceEvents\" array");
+  }
+  size_t index = 0;
+  for (const JsonValue& event : events->items) {
+    ++index;
+    if (!event.Is(kObj)) {
+      return Complain("traceEvents[" + std::to_string(index - 1) +
+                      "] is not an object");
+    }
+    const JsonValue* name = event.FindOfKind("name", kStr);
+    const JsonValue* ph = event.FindOfKind("ph", kStr);
+    if (name == nullptr || ph == nullptr ||
+        event.FindOfKind("ts", kNum) == nullptr ||
+        event.FindOfKind("pid", kNum) == nullptr ||
+        event.FindOfKind("tid", kNum) == nullptr) {
+      return Complain("event " + std::to_string(index - 1) +
+                      " lacks name/ph strings or ts/pid/tid numbers");
+    }
+    if (ph->text == "X") {
+      const JsonValue* dur = event.FindOfKind("dur", kNum);
+      if (dur == nullptr || dur->number < 0.0) {
+        return Complain("complete event " + std::to_string(index - 1) +
+                        " ('" + name->text + "') lacks a non-negative dur");
+      }
+    }
+  }
+  std::printf("trace OK: %zu events\n", events->items.size());
+  return true;
+}
+
+/// A numeric field may legitimately be null (every emitter renders
+/// non-finite values as null); everything else must be a number.
+bool NumberOrNull(const JsonValue& record, const char* field) {
+  const JsonValue* value = record.Find(field);
+  return value != nullptr && (value->Is(kNum) || value->Is(kNull));
+}
+
+/// Metrics dump: root object with counters/gauges/histograms objects plus an
+/// ops array of per-op profiles. Histogram snapshots must carry the full
+/// count/min/max/mean/p50/p95/p99 summary: a numeric count, the rest numeric
+/// or null.
+bool ValidateMetrics(const JsonValue& root) {
+  if (!root.Is(kObj)) {
+    return Complain("metrics root is not an object");
+  }
+  for (const char* key : {"counters", "gauges", "histograms"}) {
+    const JsonValue* section = root.Find(key);
+    if (section == nullptr || !section->Is(kObj)) {
+      return Complain(std::string("missing \"") + key + "\" object");
+    }
+  }
+  for (const auto& [name, snapshot] : root.Find("histograms")->members) {
+    if (!snapshot.Is(kObj)) {
+      return Complain("histogram '" + name + "' is not an object");
+    }
+    if (snapshot.FindOfKind("count", kNum) == nullptr) {
+      return Complain("histogram '" + name + "' lacks numeric \"count\"");
+    }
+    for (const char* field : {"min", "max", "mean", "p50", "p95", "p99"}) {
+      if (!NumberOrNull(snapshot, field)) {
+        return Complain("histogram '" + name + "' lacks numeric or null \"" +
+                        field + "\"");
+      }
+    }
+  }
+  // "ops" is optional: the training exporter always writes it, but the
+  // serving tier's /metrics JSON has no autograd profile to report. When
+  // present it must still be well-formed.
+  const JsonValue* ops = root.Find("ops");
+  if (ops != nullptr) {
+    if (!ops->Is(kArr)) {
+      return Complain("\"ops\" is not an array");
+    }
+    for (const JsonValue& op : ops->items) {
+      if (!op.Is(kObj) || op.Find("name") == nullptr ||
+          op.Find("forward_calls") == nullptr) {
+        return Complain("ops entry lacks name/forward_calls");
+      }
+    }
+  }
+  std::printf("metrics OK: %zu ops, %zu counters, %zu histograms\n",
+              ops == nullptr ? 0 : ops->items.size(),
+              root.Find("counters")->members.size(),
+              root.Find("histograms")->members.size());
+  return true;
+}
+
+bool IsLowerHexId(const std::string& text, size_t length) {
+  if (text.size() != length) return false;
+  bool nonzero = false;
+  for (char c : text) {
+    const bool ok = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+    if (!ok) return false;
+    if (c != '0') nonzero = true;
+  }
+  return nonzero;
+}
+
+/// Serving access log: one JSON object per line with ts/method/path strings,
+/// valid non-zero trace_id (32 hex) and span_id (16 hex), numeric
+/// status/bytes/total_us, and a stages object of non-negative stage
+/// durations whose sum does not exceed total_us. cache_hit/batch_size are
+/// optional (predict requests only) but type-checked when present.
+bool ValidateAccessLog(const std::string& text) {
+  std::istringstream stream(text);
+  std::string line;
+  int line_no = 0;
+  size_t records = 0;
+  while (std::getline(stream, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    const std::string where = "line " + std::to_string(line_no);
+    JsonValue record;
+    std::string error;
+    if (!JsonParser(line).Parse(&record, &error)) {
+      return Complain(where + ": " + error);
+    }
+    if (!record.Is(kObj)) {
+      return Complain(where + ": record is not an object");
+    }
+    for (const char* field : {"ts", "trace_id", "span_id", "method", "path"}) {
+      if (record.FindOfKind(field, kStr) == nullptr) {
+        return Complain(where + ": record lacks string \"" +
+                        std::string(field) + "\"");
+      }
+    }
+    if (!IsLowerHexId(record.Find("trace_id")->text, 32)) {
+      return Complain(where + ": trace_id is not 32 lowercase hex chars "
+                      "(non-zero)");
+    }
+    if (!IsLowerHexId(record.Find("span_id")->text, 16)) {
+      return Complain(where + ": span_id is not 16 lowercase hex chars "
+                      "(non-zero)");
+    }
+    for (const char* field : {"status", "bytes", "total_us"}) {
+      if (record.FindOfKind(field, kNum) == nullptr) {
+        return Complain(where + ": record lacks numeric \"" +
+                        std::string(field) + "\"");
+      }
+    }
+    const double total_us = record.Find("total_us")->number;
+    if (total_us < 0.0) {
+      return Complain(where + ": negative total_us");
+    }
+    const JsonValue* stages = record.FindOfKind("stages", kObj);
+    if (stages == nullptr) {
+      return Complain(where + ": record lacks \"stages\" object");
+    }
+    double stage_sum = 0.0;
+    for (const auto& [stage, value] : stages->members) {
+      if (!value.Is(kNum) || value.number < 0.0) {
+        return Complain(where + ": stage '" + stage +
+                        "' is not a non-negative number");
+      }
+      stage_sum += value.number;
+    }
+    // Stage durations are disjoint sub-intervals of the request, so their
+    // sum is bounded by the total (0.05us slack absorbs %.3f rounding).
+    if (stage_sum > total_us + 0.05) {
+      return Complain(where + ": stage sum " + std::to_string(stage_sum) +
+                      "us exceeds total_us " + std::to_string(total_us));
+    }
+    const JsonValue* cache_hit = record.Find("cache_hit");
+    if (cache_hit != nullptr && !cache_hit->Is(JsonValue::Kind::kBool)) {
+      return Complain(where + ": cache_hit is not a boolean");
+    }
+    const JsonValue* batch_size = record.Find("batch_size");
+    if (batch_size != nullptr &&
+        (!batch_size->Is(kNum) || batch_size->number < 0.0)) {
+      return Complain(where + ": batch_size is not a non-negative number");
+    }
+    ++records;
+  }
+  if (records == 0) {
+    return Complain("access log contains no records");
+  }
+  std::printf("access-log OK: %zu record(s)\n", records);
+  return true;
+}
+
+// -- Run ledger (JSONL) -------------------------------------------------------
+
+bool ValidateLedgerHeader(const JsonValue& record, const std::string& where) {
+  if (record.FindOfKind("schema", kNum) == nullptr ||
+      record.FindOfKind("run", kNum) == nullptr ||
+      record.FindOfKind("model", kStr) == nullptr ||
+      record.FindOfKind("train_seed", kNum) == nullptr ||
+      record.FindOfKind("config", kObj) == nullptr) {
+    return Complain(where + ": header lacks schema/run/model/train_seed/"
+                    "config");
+  }
+  const JsonValue* dataset = record.FindOfKind("dataset", kObj);
+  if (dataset == nullptr) {
+    return Complain(where + ": header lacks \"dataset\" object");
+  }
+  for (const char* field : {"rows", "cols", "days", "categories"}) {
+    if (dataset->FindOfKind(field, kNum) == nullptr) {
+      return Complain(where + ": header dataset lacks numeric \"" +
+                      std::string(field) + "\"");
+    }
+  }
+  return true;
+}
+
+bool ValidateLedgerEpoch(const JsonValue& record, const std::string& where) {
+  for (const char* field : {"run", "epoch", "epoch_seconds", "windows"}) {
+    if (record.FindOfKind(field, kNum) == nullptr) {
+      return Complain(where + ": epoch record lacks numeric \"" +
+                      std::string(field) + "\"");
+    }
+  }
+  for (const char* field : {"loss", "lr", "grad_norm"}) {
+    if (!NumberOrNull(record, field)) {
+      return Complain(where + ": epoch record lacks \"" + std::string(field) +
+                      "\"");
+    }
+  }
+  const JsonValue* params = record.FindOfKind("params", kArr);
+  if (params == nullptr) {
+    return Complain(where + ": epoch record lacks \"params\" array");
+  }
+  size_t index = 0;
+  for (const JsonValue& param : params->items) {
+    ++index;
+    if (!param.Is(kObj) || param.FindOfKind("name", kStr) == nullptr) {
+      return Complain(where + ": params[" + std::to_string(index - 1) +
+                      "] lacks a string \"name\"");
+    }
+    for (const char* field :
+         {"grad_norm", "update_ratio", "nan_grad_frac", "zero_grad_frac"}) {
+      if (!NumberOrNull(param, field)) {
+        return Complain(where + ": params[" + std::to_string(index - 1) +
+                        "] lacks \"" + std::string(field) + "\"");
+      }
+    }
+  }
+  return true;
+}
+
+bool ValidateLedgerFinal(const JsonValue& record, const std::string& where) {
+  if (record.FindOfKind("model", kStr) == nullptr) {
+    return Complain(where + ": final record lacks string \"model\"");
+  }
+  const JsonValue* overall = record.FindOfKind("overall", kObj);
+  if (overall == nullptr) {
+    return Complain(where + ": final record lacks \"overall\" object");
+  }
+  for (const char* field : {"mae", "mape"}) {
+    if (!NumberOrNull(*overall, field)) {
+      return Complain(where + ": final overall lacks \"" + std::string(field) +
+                      "\"");
+    }
+  }
+  return true;
+}
+
+/// Run ledger: one JSON object per line; records are typed by "record"
+/// (header / epoch / event / final). Epoch, event and final records must
+/// follow a header in the same file, and at least one header is required.
+/// Each header appends a run to `out`; the epoch and final records after it
+/// fill in its summary. The first bad record rejects the whole file.
 bool ParseLedgerText(const std::string& text, const std::string& source,
                      std::vector<RunSummary>* out) {
   std::istringstream stream(text);
   std::string line;
   int line_no = 0;
-  RunSummary current;
-  bool open = false;
+  const size_t first_run = out->size();
   double epoch_seconds_sum = 0.0;
   int64_t epoch_seconds_count = 0;
 
   const auto finish = [&]() {
-    if (!open) return;
-    if (epoch_seconds_count > 0) {
-      current.mean_epoch_seconds =
+    if (out->size() > first_run && epoch_seconds_count > 0) {
+      out->back().mean_epoch_seconds =
           epoch_seconds_sum / static_cast<double>(epoch_seconds_count);
     }
-    out->push_back(current);
   };
 
   while (std::getline(stream, line)) {
     ++line_no;
     if (line.empty()) continue;
+    const std::string where = source + " line " + std::to_string(line_no);
     JsonValue record;
     std::string error;
     if (!JsonParser(line).Parse(&record, &error)) {
-      return Complain(source + " line " + std::to_string(line_no) + ": " +
-                      error);
+      return Complain(where + ": " + error);
     }
-    const std::string kind = StringOr(record, "record", "");
+    if (!record.Is(kObj)) {
+      return Complain(where + ": record is not an object");
+    }
+    const JsonValue* kind_value = record.FindOfKind("record", kStr);
+    if (kind_value == nullptr) {
+      return Complain(where + ": record lacks a string \"record\" field");
+    }
+    const std::string& kind = kind_value->text;
     if (kind == "header") {
+      if (!ValidateLedgerHeader(record, where)) return false;
       finish();
-      current = RunSummary();
-      open = true;
+      RunSummary run;
+      run.source = source;
+      run.model = record.Find("model")->text;
+      run.city = StringOr(*record.Find("dataset"), "city", "?");
+      out->push_back(std::move(run));
       epoch_seconds_sum = 0.0;
       epoch_seconds_count = 0;
-      current.source = source;
-      current.model = StringOr(record, "model", "?");
-      const JsonValue* dataset = record.FindOfKind("dataset", kObj);
-      if (dataset != nullptr) {
-        current.city = StringOr(*dataset, "city", "?");
-      }
-    } else if (kind == "epoch" && open) {
-      ++current.epochs;
-      current.final_loss = NumberOr(record, "loss", kNan);
-      const double seconds = NumberOr(record, "epoch_seconds", kNan);
+      continue;
+    }
+    if (kind != "epoch" && kind != "event" && kind != "final") {
+      return Complain(where + ": unknown record type '" + kind + "'");
+    }
+    if (out->size() == first_run) {
+      return Complain(where + ": " + kind + " record before any header");
+    }
+    RunSummary& run = out->back();
+    if (kind == "epoch") {
+      if (!ValidateLedgerEpoch(record, where)) return false;
+      ++run.epochs;
+      run.final_loss = NumberOr(record, "loss", kNan);
+      const double seconds = record.Find("epoch_seconds")->number;
       if (std::isfinite(seconds)) {
         epoch_seconds_sum += seconds;
         ++epoch_seconds_count;
       }
       const double val = NumberOr(record, "validation_mae", kNan);
       if (std::isfinite(val) &&
-          (!std::isfinite(current.best_val_mae) || val < current.best_val_mae)) {
-        current.best_val_mae = val;
+          (!std::isfinite(run.best_val_mae) || val < run.best_val_mae)) {
+        run.best_val_mae = val;
       }
-    } else if (kind == "final" && open) {
-      current.city = StringOr(record, "city", current.city);
-      const JsonValue* overall = record.FindOfKind("overall", kObj);
-      if (overall != nullptr) {
-        current.test_mae = NumberOr(*overall, "mae", kNan);
-        current.test_mape = NumberOr(*overall, "mape", kNan);
-        current.test_rmse = NumberOr(*overall, "rmse", kNan);
-        current.has_final = true;
+    } else if (kind == "event") {
+      if (record.FindOfKind("kind", kStr) == nullptr) {
+        return Complain(where + ": event record lacks string \"kind\"");
       }
+    } else {
+      if (!ValidateLedgerFinal(record, where)) return false;
+      const JsonValue& overall = *record.Find("overall");
+      run.city = StringOr(record, "city", run.city);
+      run.test_mae = NumberOr(overall, "mae", kNan);
+      run.test_mape = NumberOr(overall, "mape", kNan);
+      run.test_rmse = NumberOr(overall, "rmse", kNan);
+      run.has_final = true;
     }
-    // "event" records and orphan lines don't affect the summary.
+  }
+  if (out->size() == first_run) {
+    return Complain(source + ": run log contains no header record");
   }
   finish();
   return true;
@@ -335,6 +636,12 @@ bool ParseBenchText(const std::string& text, const std::string& source,
 
 // -- Roofline (BENCH_roofline.json) -------------------------------------------
 
+/// BENCH_roofline.json (src/util/obs/roofline.h writer): a "peaks" object
+/// with positive roofs, and a non-empty "ops" array whose entries carry
+/// consistent coordinates — intensity must equal flops/bytes (1% relative
+/// tolerance), pct_of_roof must land in [0, 120] (a small overshoot absorbs
+/// peaks-calibration noise), "bound" must be compute or memory, and counters
+/// must be null or an object of numbers >= -1.
 bool ParseRooflineText(const std::string& text, const std::string& source,
                        RooflineDoc* out) {
   JsonValue root;
@@ -342,47 +649,105 @@ bool ParseRooflineText(const std::string& text, const std::string& source,
   if (!JsonParser(text).Parse(&root, &error)) {
     return Complain(source + ": " + error);
   }
-  if (!root.Is(kObj) || StringOr(root, "bench", "") != "roofline") {
-    return Complain(source + ": not a BENCH_roofline.json document "
-                             "(bench != \"roofline\")");
+  if (!root.Is(kObj)) {
+    return Complain(source + ": roofline root is not an object");
   }
-  out->source = source;
+  if (StringOr(root, "bench", "") != "roofline") {
+    return Complain(source + ": missing \"bench\":\"roofline\" marker");
+  }
   const JsonValue* peaks = root.FindOfKind("peaks", kObj);
   if (peaks == nullptr) {
     return Complain(source + ": missing \"peaks\" object");
   }
-  out->cpu_model = StringOr(*peaks, "cpu_model", "?");
-  out->gflops_1t = NumberOr(*peaks, "gflops_1t", kNan);
-  out->gbps_1t = NumberOr(*peaks, "gbps_1t", kNan);
-  out->threads = NumberOr(*peaks, "threads", kNan);
-  out->compute_roof_gflops = NumberOr(*peaks, "compute_roof_gflops", kNan);
-  out->memory_roof_gbps = NumberOr(*peaks, "memory_roof_gbps", kNan);
+  const std::pair<const char*, double RooflineDoc::*> kPeakFields[] = {
+      {"gflops_1t", &RooflineDoc::gflops_1t},
+      {"gbps_1t", &RooflineDoc::gbps_1t},
+      {"threads", &RooflineDoc::threads},
+      {"compute_roof_gflops", &RooflineDoc::compute_roof_gflops},
+      {"memory_roof_gbps", &RooflineDoc::memory_roof_gbps}};
+  for (const auto& [field, member] : kPeakFields) {
+    const double value = NumberOr(*peaks, field, kNan);
+    if (!(value > 0.0)) {
+      return Complain(source + ": peaks lacks positive numeric \"" +
+                      std::string(field) + "\"");
+    }
+    out->*member = value;
+  }
+  const JsonValue* cpu_model = peaks->FindOfKind("cpu_model", kStr);
+  if (cpu_model == nullptr) {
+    return Complain(source + ": peaks lacks string \"cpu_model\"");
+  }
+  out->source = source;
+  out->cpu_model = cpu_model->text;
   const JsonValue* ops = root.FindOfKind("ops", kArr);
-  if (ops == nullptr) return Complain(source + ": missing \"ops\" array");
+  if (ops == nullptr || ops->items.empty()) {
+    return Complain(source + ": missing or empty \"ops\" array");
+  }
+  const std::pair<const char*, double RooflineOp::*> kOpFields[] = {
+      {"calls", &RooflineOp::calls},
+      {"flops", &RooflineOp::flops},
+      {"bytes", &RooflineOp::bytes},
+      {"us", &RooflineOp::us},
+      {"intensity", &RooflineOp::intensity},
+      {"achieved_gflops", &RooflineOp::achieved_gflops},
+      {"achieved_gbps", &RooflineOp::achieved_gbps},
+      {"roof_gflops", &RooflineOp::roof_gflops},
+      {"pct_of_roof", &RooflineOp::pct_of_roof}};
   for (const JsonValue& op : ops->items) {
-    if (!op.Is(kObj)) continue;
+    const std::string where =
+        source + ": ops[" + std::to_string(out->ops.size()) + "]";
+    if (!op.Is(kObj)) return Complain(where + " is not an object");
+    const JsonValue* name = op.FindOfKind("name", kStr);
+    if (name == nullptr) return Complain(where + " lacks string \"name\"");
     RooflineOp row;
-    row.name = StringOr(op, "name", "?");
-    row.calls = NumberOr(op, "calls", kNan);
-    row.flops = NumberOr(op, "flops", kNan);
-    row.bytes = NumberOr(op, "bytes", kNan);
-    row.us = NumberOr(op, "us", kNan);
-    row.intensity = NumberOr(op, "intensity", kNan);
-    row.achieved_gflops = NumberOr(op, "achieved_gflops", kNan);
-    row.achieved_gbps = NumberOr(op, "achieved_gbps", kNan);
-    row.roof_gflops = NumberOr(op, "roof_gflops", kNan);
-    row.pct_of_roof = NumberOr(op, "pct_of_roof", kNan);
-    row.bound = StringOr(op, "bound", "?");
-    const JsonValue* counters = op.FindOfKind("counters", kObj);
-    if (counters != nullptr) {
+    row.name = name->text;
+    for (const auto& [field, member] : kOpFields) {
+      const double value = NumberOr(op, field, kNan);
+      if (!(value >= 0.0)) {
+        return Complain(where + " lacks non-negative numeric \"" +
+                        std::string(field) + "\"");
+      }
+      row.*member = value;
+    }
+    if (row.flops > 0.0 && row.bytes > 0.0) {
+      const double expected = row.flops / row.bytes;
+      if (std::fabs(row.intensity - expected) > 0.01 * expected) {
+        return Complain(where + ": intensity " + std::to_string(row.intensity) +
+                        " != flops/bytes " + std::to_string(expected));
+      }
+    }
+    if (row.pct_of_roof > 120.0) {
+      return Complain(where + ": pct_of_roof " +
+                      std::to_string(row.pct_of_roof) +
+                      " exceeds 120 — peaks calibration is inconsistent "
+                      "with the cost model");
+    }
+    row.bound = StringOr(op, "bound", "");
+    if (row.bound != "compute" && row.bound != "memory") {
+      return Complain(where + ": \"bound\" is not compute|memory");
+    }
+    const JsonValue* counters = op.Find("counters");
+    if (counters == nullptr) {
+      return Complain(where + " lacks \"counters\" (object or null)");
+    }
+    if (counters->Is(kObj)) {
+      for (const auto& [counter, value] : counters->members) {
+        // Individually-failed events read as -1 while the group stays valid.
+        if (!value.Is(kNum) || value.number < -1.0) {
+          return Complain(where + ": counter '" + counter +
+                          "' is not a number >= -1");
+        }
+      }
       row.has_counters = true;
       row.cycles = NumberOr(*counters, "cycles", kNan);
       row.instructions = NumberOr(*counters, "instructions", kNan);
       row.l1d_misses = NumberOr(*counters, "l1d_misses", kNan);
       row.llc_misses = NumberOr(*counters, "llc_misses", kNan);
       row.branch_misses = NumberOr(*counters, "branch_misses", kNan);
+    } else if (!counters->Is(kNull)) {
+      return Complain(where + ": \"counters\" is neither object nor null");
     }
-    out->ops.push_back(row);
+    out->ops.push_back(std::move(row));
   }
   return true;
 }
@@ -509,7 +874,8 @@ std::string RenderBaseline(const std::vector<RunSummary>& runs) {
 }
 
 /// Returns the number of gate failures (0 = pass). Baselines with null MAE
-/// or epoch_seconds skip that comparison.
+/// or epoch_seconds skip that comparison; a run that lacks a number its
+/// baseline sets fails it.
 int RunGate(const std::string& baseline_text, const std::string& source,
             const std::vector<RunSummary>& runs, double tolerance_pct,
             double time_tolerance_pct) {
@@ -559,10 +925,13 @@ int RunGate(const std::string& baseline_text, const std::string& source,
                     city.c_str(), match->test_mae, limit);
       }
     }
-    if (std::isfinite(base_seconds) &&
-        std::isfinite(match->mean_epoch_seconds)) {
+    if (std::isfinite(base_seconds)) {
       const double limit = base_seconds * (1.0 + time_tolerance_pct / 100.0);
-      if (match->mean_epoch_seconds > limit) {
+      if (!std::isfinite(match->mean_epoch_seconds)) {
+        std::printf("GATE FAIL %s/%s: current run has no epoch time\n",
+                    model.c_str(), city.c_str());
+        ++failures;
+      } else if (match->mean_epoch_seconds > limit) {
         std::printf("GATE FAIL %s/%s: epoch %.4gs > %.4gs (baseline %.4gs "
                     "+%.3g%%)\n",
                     model.c_str(), city.c_str(), match->mean_epoch_seconds,
@@ -657,41 +1026,283 @@ int RunRooflineGate(const std::string& baseline_text, const std::string& source,
   return failures;
 }
 
+// -- check KIND FILE ----------------------------------------------------------
+
+constexpr const char* kCheckKinds[] = {"trace", "metrics", "run-log",
+                                       "access-log", "roofline"};
+
+/// Validates `text` as one artifact kind through that kind's parser and
+/// prints its OK line; the first violation goes to stderr. The selftest's
+/// extra kind "parse" checks JSON syntax only.
+bool CheckText(const std::string& kind, const std::string& text,
+               const std::string& source) {
+  if (kind == "run-log") {
+    std::vector<RunSummary> runs;
+    if (!ParseLedgerText(text, source, &runs)) return false;
+    size_t epochs = 0;
+    size_t finals = 0;
+    for (const RunSummary& run : runs) {
+      epochs += static_cast<size_t>(run.epochs);
+      finals += run.has_final ? 1 : 0;
+    }
+    std::printf("run-log OK: %zu run(s), %zu epoch record(s), %zu final(s)\n",
+                runs.size(), epochs, finals);
+    return true;
+  }
+  if (kind == "roofline") {
+    RooflineDoc doc;
+    if (!ParseRooflineText(text, source, &doc)) return false;
+    std::printf("roofline OK: %zu op(s)\n", doc.ops.size());
+    return true;
+  }
+  if (kind == "access-log") return ValidateAccessLog(text);
+  JsonValue root;
+  std::string error;
+  if (!JsonParser(text).Parse(&root, &error)) {
+    return Complain(source + ": " + error);
+  }
+  if (kind == "trace") return ValidateTrace(root);
+  if (kind == "metrics") return ValidateMetrics(root);
+  return true;
+}
+
 // -- Self-test ----------------------------------------------------------------
 
-constexpr const char kSelfTestLedger[] =
+// Good documents, defined once: the check samples derive their bad
+// variants from them, and the render and gate checks read the same ledger
+// and roofline.
+constexpr const char kGoodLedgerHeader[] =
     R"({"record":"header","schema":1,"run":1,"model":"STHSL",)"
-    R"("dataset":{"city":"NYC-small","rows":3,"cols":3,"days":120,)"
+    R"("dataset":{"city":"NYC","rows":3,"cols":3,"days":120,)"
     R"("categories":4,"generator_seed":11},"train_end":90,)"
-    R"("train_seed":7,"config":{}})" "\n"
+    R"("train_seed":7,"build":{"compiler":"test","flags":"NDEBUG"},)"
+    R"("config":{"window":14,"lr":0.005}})";
+constexpr const char kGoodLedgerEpoch[] =
     R"({"record":"epoch","run":1,"epoch":1,"loss":2.0,"lr":0.005,)"
-    R"("epoch_seconds":0.1,"windows":32,"grad_norm":3.0,"params":[]})" "\n"
-    R"({"record":"epoch","run":1,"epoch":2,"loss":1.0,"lr":0.004,)"
-    R"("epoch_seconds":0.3,"windows":32,"grad_norm":2.0,)"
-    R"("validation_mae":0.8,"best_snapshot":true,"params":[]})" "\n"
-    R"({"record":"event","run":1,"kind":"restore_best","epoch":2,)"
-    R"("value":0.8})" "\n"
-    R"({"record":"final","run":1,"model":"STHSL","city":)"
-    R"("NYC-small","overall":{"name":"overall","mae":0.5,)"
-    R"("mape":0.3,"rmse":0.9,"entries":360},"categories":[]})" "\n";
+    R"("epoch_seconds":0.1,"windows":32,"grad_norm":3.5,)"
+    R"("peak_tensor_bytes":0,"validation_mae":0.9,"best_snapshot":true,)"
+    R"("params":[{"name":"head.weight","numel":36,"grad_norm":1.5,)"
+    R"("weight_norm":2.0,"update_ratio":0.01,"nan_grad_frac":0,)"
+    R"("zero_grad_frac":0.25}]})";
+constexpr const char kGoodLedgerFinal[] =
+    R"({"record":"final","run":1,"model":"STHSL","city":"NYC",)"
+    R"("overall":{"name":"overall","mae":0.5,"mape":0.3,"rmse":0.9,)"
+    R"("entries":360},"categories":[]})";
+constexpr const char kGoodRoofline[] =
+    R"({"bench":"roofline","peaks":{"cpu_model":"TestCPU",)"
+    R"("gflops_1t":10,"gbps_1t":5,"threads":4,)"
+    R"("compute_roof_gflops":40,"memory_roof_gbps":5,)"
+    R"("calibrated_utc":"2026-01-01T00:00:00Z","from_cache":true},)"
+    R"("ops":[{"name":"matmul","calls":3,"flops":200000000,)"
+    R"("bytes":4000000,"us":50000,"intensity":50,)"
+    R"("achieved_gflops":4,"achieved_gbps":0.08,"roof_gflops":40,)"
+    R"("pct_of_roof":10,"bound":"compute","counters":{"cycles":)"
+    R"(1000,"instructions":2000,"l1d_misses":-1,"llc_misses":5,)"
+    R"("branch_misses":1}},{"name":"softmax","calls":3,)"
+    R"("flops":327680,"bytes":524288,"us":100,"intensity":0.625,)"
+    R"("achieved_gflops":3.2768,"achieved_gbps":5.24288,)"
+    R"("roof_gflops":3.125,"pct_of_roof":104.9,"bound":"memory",)"
+    R"("counters":null},{"name":"spmm","calls":3,)"
+    R"("flops":1000000,"bytes":2000000,"us":1000,"intensity":0.5,)"
+    R"("achieved_gflops":1,"achieved_gbps":2,"roof_gflops":2.5,)"
+    R"("pct_of_roof":40,"bound":"memory","counters":null},)"
+    R"({"name":"gather.bwd","calls":3,"flops":131072,)"
+    R"("bytes":1048576,"us":500,"intensity":0.125,)"
+    R"("achieved_gflops":0.262144,"achieved_gbps":2.097152,)"
+    R"("roof_gflops":0.625,"pct_of_roof":41.9,"bound":"memory",)"
+    R"("counters":null}]})";
+constexpr const char kGoodAccessRecord[] =
+    R"({"ts":"2026-08-08T12:00:00.123Z",)"
+    R"("trace_id":"0af7651916cd43dd8448eb211c80319c",)"
+    R"("span_id":"b7ad6b7169203331","method":"POST",)"
+    R"("path":"/v1/predict","status":200,"bytes":412,)"
+    R"("total_us":184.250,"stages":{"header_parse":3.100,)"
+    R"("body_parse":21.000,"cache_lookup":1.500,"queue_wait":50.000,)"
+    R"("batch_assembly":2.000,"inference":90.000,"serialize":10.000},)"
+    R"("cache_hit":false,"batch_size":4})";
+
+/// Header, two epochs (mean 0.2 s, best validation MAE 0.8), an event and
+/// a final record with test MAE 0.5.
+std::string GoodLedger() {
+  return std::string(kGoodLedgerHeader) + "\n" + kGoodLedgerEpoch + "\n" +
+         R"({"record":"epoch","run":1,"epoch":2,"loss":1.0,"lr":0.004,)"
+         R"("epoch_seconds":0.3,"windows":32,"grad_norm":2.0,)"
+         R"("validation_mae":0.8,"best_snapshot":true,"params":[]})" "\n"
+         R"({"record":"event","run":1,"kind":"restore_best","epoch":2,)"
+         R"("value":0.8})" "\n" +
+         kGoodLedgerFinal + "\n";
+}
+
+/// `doc` with the first occurrence of `from` replaced by `to`. A `from`
+/// that is absent leaves the good document in place, which the bad-sample
+/// checks then report.
+std::string With(std::string doc, const std::string& from,
+                 const std::string& to) {
+  const size_t at = doc.find(from);
+  return at == std::string::npos ? doc : doc.replace(at, from.size(), to);
+}
+
+int Run(const std::vector<std::string>& args);
 
 int SelfTest() {
   int failures = 0;
-  const auto expect = [&](bool ok, const char* label) {
+  const auto expect = [&](bool ok, const std::string& label) {
     if (!ok) {
-      std::fprintf(stderr, "SELFTEST FAIL: %s\n", label);
+      std::fprintf(stderr, "SELFTEST FAIL: %s\n", label.c_str());
       ++failures;
     }
   };
 
+  // Check samples: every kind's good document and the violations its
+  // parser must reject, each through CheckText as `check KIND` runs it.
+  struct Sample {
+    const char* label;
+    const char* kind;  // a kCheckKinds entry, or "parse" for JSON syntax
+    std::string json;
+    bool expect_ok;
+  };
+  const std::string access = std::string(kGoodAccessRecord) + "\n";
+  const Sample kSamples[] = {
+      {"good trace", "trace",
+       R"({"displayTimeUnit":"ms","traceEvents":[)"
+       R"({"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,)"
+       R"("args":{"name":"sthsl"}},)"
+       R"({"name":"matmul","cat":"op","ph":"X","ts":1.5,)"
+       R"("dur":2.25,"pid":1,"tid":1}]})",
+       true},
+      {"empty trace", "trace", R"({"traceEvents":[]})", true},
+      {"trace missing events key", "trace", R"({"events":[]})", false},
+      {"X event without dur", "trace",
+       R"({"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":1,"tid":1}]})",
+       false},
+      {"event with non-string name", "trace",
+       R"({"traceEvents":[{"name":3,"ph":"X","ts":0,"dur":1,"pid":1,)"
+       R"("tid":1}]})",
+       false},
+      {"good metrics", "metrics",
+       R"({"counters":{"train/epochs":3},"gauges":{},)"
+       R"("histograms":{"loss":{"count":2,"min":0.1,"max":0.4,)"
+       R"("mean":0.25,"p50":0.1,"p95":0.4,"p99":0.4}},)"
+       R"("ops":[{"name":"matmul","forward_calls":10,)"
+       R"("forward_us":12.5,"backward_calls":10,"backward_us":20.0,)"
+       R"("bytes_touched":4096}],)"
+       R"("scopes":[],"tensor_memory":{"live_bytes":0,"peak_bytes":9}})",
+       true},
+      {"metrics with null (non-finite) fields", "metrics",
+       R"({"counters":{},"gauges":{"train/loss":null},)"
+       R"("histograms":{"grad_norm":{"count":1,"min":null,"max":null,)"
+       R"("mean":null,"p50":null,"p95":null,"p99":null}}})",
+       true},
+      {"metrics missing histograms", "metrics",
+       R"({"counters":{},"gauges":{},"ops":[]})", false},
+      {"histogram without min/max", "metrics",
+       R"({"counters":{},"gauges":{},"histograms":{"loss":{"count":2,)"
+       R"("mean":0.25,"p50":0.1,"p95":0.4,"p99":0.4}},"ops":[]})",
+       false},
+      {"histogram without p99", "metrics",
+       R"({"counters":{},"gauges":{},"histograms":{"loss":{"count":2,)"
+       R"("min":0.1,"max":0.4,"mean":0.25,"p50":0.1,"p95":0.4}},)"
+       R"("ops":[]})",
+       false},
+      {"serve metrics without ops", "metrics",
+       R"({"counters":{"serve/requests":9},"gauges":{},)"
+       R"("histograms":{"serve/latency_us":{"count":9,"min":10,)"
+       R"("max":900,"mean":120,"p50":80,"p95":500,"p99":880}},)"
+       R"("cache":{"hits":5}})",
+       true},
+      {"malformed ops entry", "metrics",
+       R"({"counters":{},"gauges":{},"histograms":{},)"
+       R"("ops":[{"forward_us":1.0}]})",
+       false},
+      {"good run log", "run-log", GoodLedger(), true},
+      {"run log with null loss (non-finite)", "run-log",
+       With(With(std::string(kGoodLedgerHeader) + "\n" + kGoodLedgerEpoch,
+                 R"("loss":2.0)", R"("loss":null)"),
+            R"("grad_norm":3.5)", R"("grad_norm":null)"),
+       true},
+      {"empty run log", "run-log", "", false},
+      {"run log epoch before header", "run-log",
+       std::string(kGoodLedgerEpoch) + "\n" + GoodLedger(), false},
+      {"run log header missing dataset", "run-log",
+       R"({"record":"header","schema":1,"run":1,"model":"m",)"
+       R"("train_seed":7,"config":{}})" "\n",
+       false},
+      {"run log param missing update_ratio", "run-log",
+       With(GoodLedger(), R"("update_ratio":0.01,)", ""), false},
+      {"run log final missing overall", "run-log",
+       std::string(kGoodLedgerHeader) +
+           "\n" R"({"record":"final","run":1,"model":"m"})" "\n",
+       false},
+      {"run log unknown record type", "run-log",
+       std::string(kGoodLedgerHeader) + "\n" R"({"record":"bogus"})" "\n",
+       false},
+      {"run log broken json line", "run-log",
+       std::string(kGoodLedgerHeader) + "\n" R"({"record":"epoch",)" "\n",
+       false},
+      {"good access log", "access-log",
+       access +
+           R"({"ts":"2026-08-08T12:00:01.000Z",)"
+           R"("trace_id":"00000000000000000000000000000001",)"
+           R"("span_id":"000000000000000a","method":"GET",)"
+           R"("path":"/healthz","status":200,"bytes":64,)"
+           R"("total_us":20.5,"stages":{"header_parse":2.0}})" "\n",
+       true},
+      {"empty access log", "access-log", "", false},
+      {"access log bad trace id", "access-log",
+       With(access, "0af7651916cd43dd8448eb211c80319c", "XYZ"), false},
+      {"access log all-zero span id", "access-log",
+       With(access, "b7ad6b7169203331", "0000000000000000"), false},
+      {"access log missing stages", "access-log",
+       With(access, R"("stages":)", R"("stage_list":)"), false},
+      {"access log stage sum exceeds total", "access-log",
+       With(access, R"("total_us":184.250)", R"("total_us":10.0)"), false},
+      {"access log negative stage", "access-log",
+       With(access, R"("inference":90.000)", R"("inference":-1.0)"), false},
+      {"access log non-boolean cache_hit", "access-log",
+       With(access, R"("cache_hit":false)", R"("cache_hit":1)"), false},
+      {"good roofline", "roofline", kGoodRoofline, true},
+      {"roofline with empty ops", "roofline",
+       R"({"bench":"roofline","peaks":{"cpu_model":"c","gflops_1t":10,)"
+       R"("gbps_1t":5,"threads":4,"compute_roof_gflops":40,)"
+       R"("memory_roof_gbps":5},"ops":[]})",
+       false},
+      {"roofline missing peaks", "roofline",
+       R"({"bench":"roofline","ops":[{"name":"x"}]})", false},
+      {"roofline zero memory roof", "roofline",
+       With(kGoodRoofline, R"("memory_roof_gbps":5)",
+            R"("memory_roof_gbps":0)"),
+       false},
+      {"roofline inconsistent intensity", "roofline",
+       With(kGoodRoofline, R"("intensity":50)", R"("intensity":7)"), false},
+      {"roofline pct over 120", "roofline",
+       With(kGoodRoofline, R"("pct_of_roof":10)", R"("pct_of_roof":150)"),
+       false},
+      {"roofline bad bound verdict", "roofline",
+       With(kGoodRoofline, R"("bound":"compute")", R"("bound":"latency")"),
+       false},
+      {"roofline counters wrong type", "roofline",
+       With(kGoodRoofline, R"("counters":null)", R"("counters":7)"), false},
+      {"unbalanced braces", "parse", R"({"a":[1,2})", false},
+      {"trailing garbage", "parse", "{} {}", false},
+      {"escapes and nesting", "parse",
+       R"({"s":"line\nbreak \u0041 \"q\"","deep":[[[{"x":null},)"
+       R"(true,false,-1.5e-3]]]})",
+       true},
+  };
+  for (const Sample& sample : kSamples) {
+    expect(CheckText(sample.kind, sample.json, "<selftest>") ==
+               sample.expect_ok,
+           std::string(sample.label) + " (expected " +
+               (sample.expect_ok ? "ok" : "reject") + ")");
+  }
+
+  // Render and gate checks over the same good documents.
   std::vector<RunSummary> runs;
-  expect(ParseLedgerText(kSelfTestLedger, "<selftest>", &runs),
-         "ledger parses");
+  expect(ParseLedgerText(GoodLedger(), "<selftest>", &runs), "ledger parses");
   expect(runs.size() == 1, "one run extracted");
   if (runs.size() == 1) {
     const RunSummary& run = runs[0];
-    expect(run.model == "STHSL" && run.city == "NYC-small",
-           "model/city extracted");
+    expect(run.model == "STHSL" && run.city == "NYC", "model/city extracted");
     expect(run.epochs == 2, "epoch count");
     expect(std::fabs(run.final_loss - 1.0) < 1e-12, "final loss is last epoch");
     expect(std::fabs(run.best_val_mae - 0.8) < 1e-12, "best validation MAE");
@@ -700,6 +1311,12 @@ int SelfTest() {
     expect(run.has_final && std::fabs(run.test_mae - 0.5) < 1e-12,
            "final test MAE");
   }
+  // Each ledger file needs its own header: the runs parsed from an earlier
+  // file do not adopt the next file's orphan records.
+  std::vector<RunSummary> two_files = runs;
+  expect(!ParseLedgerText(std::string(kGoodLedgerEpoch) + "\n" + GoodLedger(),
+                          "<selftest>", &two_files),
+         "orphan epoch in a second ledger file rejected");
 
   // Baseline round-trip: a gate against a self-emitted baseline passes.
   const std::string baseline = RenderBaseline(runs);
@@ -724,6 +1341,16 @@ int SelfTest() {
   const std::vector<RunSummary> empty;
   expect(RunGate(baseline, "<selftest>", empty, 10.0, 100.0) > 0,
          "gate fails when the baseline model has no current run");
+
+  // A run without epoch records has no epoch time; a baseline that sets
+  // one must fail, as a run without a final MAE does.
+  std::vector<RunSummary> untimed;
+  expect(ParseLedgerText(std::string(kGoodLedgerHeader) + "\n" +
+                             kGoodLedgerFinal + "\n",
+                         "<selftest>", &untimed),
+         "header+final ledger parses");
+  expect(RunGate(baseline, "<selftest>", untimed, 10.0, 100.0) > 0,
+         "gate fails when the current run has no epoch time");
 
   // Bench JSON parsing (table5 format).
   std::vector<BenchModel> bench;
@@ -756,31 +1383,8 @@ int SelfTest() {
          "parallel kernel rows extracted");
 
   // Roofline parsing, baseline round-trip and gate.
-  const char kRooflineSample[] =
-      R"({"bench":"roofline","peaks":{"cpu_model":"TestCPU",)"
-      R"("gflops_1t":10,"gbps_1t":5,"threads":4,)"
-      R"("compute_roof_gflops":40,"memory_roof_gbps":5,)"
-      R"("calibrated_utc":"2026-01-01T00:00:00Z","from_cache":false},)"
-      R"("ops":[{"name":"matmul","calls":3,"flops":200000000,)"
-      R"("bytes":4000000,"us":50000,"intensity":50,)"
-      R"("achieved_gflops":4,"achieved_gbps":0.08,"roof_gflops":40,)"
-      R"("pct_of_roof":10,"bound":"compute","counters":{"cycles":)"
-      R"(1000,"instructions":2000,"l1d_misses":10,"llc_misses":5,)"
-      R"("branch_misses":1}},{"name":"softmax","calls":3,)"
-      R"("flops":327680,"bytes":524288,"us":100,"intensity":0.625,)"
-      R"("achieved_gflops":3.2768,"achieved_gbps":5.24288,)"
-      R"("roof_gflops":3.125,"pct_of_roof":104.9,"bound":"memory",)"
-      R"("counters":null},{"name":"spmm","calls":3,)"
-      R"("flops":1000000,"bytes":2000000,"us":1000,"intensity":0.5,)"
-      R"("achieved_gflops":1,"achieved_gbps":2,"roof_gflops":2.5,)"
-      R"("pct_of_roof":40,"bound":"memory","counters":null},)"
-      R"({"name":"gather.bwd","calls":3,"flops":131072,)"
-      R"("bytes":1048576,"us":500,"intensity":0.125,)"
-      R"("achieved_gflops":0.262144,"achieved_gbps":2.097152,)"
-      R"("roof_gflops":0.625,"pct_of_roof":41.9,"bound":"memory",)"
-      R"("counters":null}]})";
   RooflineDoc roofline;
-  expect(ParseRooflineText(kRooflineSample, "<selftest>", &roofline),
+  expect(ParseRooflineText(kGoodRoofline, "<selftest>", &roofline),
          "roofline json parses");
   expect(roofline.ops.size() == 4 && roofline.cpu_model == "TestCPU" &&
              std::fabs(roofline.compute_roof_gflops - 40.0) < 1e-12,
@@ -861,8 +1465,32 @@ int SelfTest() {
                          "<selftest>", &bench, &bad_serve, &parallel),
          "serve bench without latency_us rejected");
 
+  // Malformed tolerances, ambiguous roofline gates and unknown check kinds
+  // are usage errors (exit 2), caught before any file is opened.
+  expect(Run({"--tolerance", "ten", "x.jsonl"}) == 2, "--tolerance ten");
+  expect(Run({"--tolerance", "5%", "x.jsonl"}) == 2, "--tolerance 5%");
+  expect(Run({"--time-tolerance", "-1", "x.jsonl"}) == 2,
+         "negative --time-tolerance");
+  expect(Run({"--time-tolerance", "inf", "x.jsonl"}) == 2,
+         "infinite --time-tolerance");
+  expect(Run({"--roofline", "r.json", "--roofline-tolerance", "100"}) == 2,
+         "--roofline-tolerance 100 (a floor of 0 cannot fail)");
+  expect(Run({"--roofline", "a.json", "--roofline", "b.json",
+              "--gate-roofline", "base.json"}) == 2,
+         "--gate-roofline with two --roofline");
+  expect(Run({"--roofline", "a.json", "--roofline", "b.json",
+              "--emit-roofline-baseline", "base.json"}) == 2,
+         "--emit-roofline-baseline with two --roofline");
+  expect(Run({"check", "ledger", "x.jsonl"}) == 2, "unknown check kind");
+  expect(Run({"check", "trace"}) == 2, "check without a file");
+  // A well-formed tolerance gets past option parsing to the missing file.
+  expect(Run({"--tolerance", "12.5", "--roofline-tolerance", "99.5",
+              "no-such-ledger.jsonl"}) == 1,
+         "fractional tolerances accepted");
+
   if (failures == 0) {
-    std::printf("selftest OK\n");
+    std::printf("selftest OK: %zu check samples\n",
+                sizeof(kSamples) / sizeof(kSamples[0]));
     return 0;
   }
   return 1;
@@ -871,6 +1499,9 @@ int SelfTest() {
 int Usage() {
   std::fprintf(stderr,
                "usage: sthsl_report [options] <ledger.jsonl>...\n"
+               "       sthsl_report check trace|metrics|run-log|access-log|"
+               "roofline FILE\n"
+               "         validate one artifact: exit 0 valid, 1 invalid\n"
                "  --csv                  emit CSV instead of markdown\n"
                "  --bench FILE           include a BENCH_*.json table "
                "(table5 epoch times or\n"
@@ -888,22 +1519,56 @@ int Usage() {
                "as markdown\n"
                "  --emit-roofline-baseline FILE\n"
                "                         write per-op achieved-GFLOP/s "
-               "baseline from --roofline\n"
+               "baseline from one --roofline\n"
                "  --gate-roofline FILE   enforce per-op GFLOP/s floors from "
                "a baseline\n"
-               "                         against --roofline; exit 1 on "
+               "                         against one --roofline; exit 1 on "
                "regression\n"
                "  --roofline-tolerance P allowed GFLOP/s drop %% below "
-               "baseline (default 50);\n"
+               "baseline, < 100 (default 50);\n"
                "                         a baseline op's own \"tolerance\" "
                "field overrides it\n"
                "  --selftest             run embedded checks\n");
   return 2;
 }
 
-}  // namespace
+/// Writes `json` and a newline to `path`.
+bool WriteLine(const std::string& path, const std::string& json) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) return Complain("cannot open " + path + " for writing");
+  std::fwrite(json.data(), 1, json.size(), file);
+  std::fputc('\n', file);
+  std::fclose(file);
+  return true;
+}
 
-int main(int argc, char** argv) {
+/// Parses a percentage option value: the whole string must be a finite
+/// number in [0, limit).
+bool ParsePercent(const std::string& option, const std::string& text,
+                  double limit, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value) || value < 0.0 ||
+      value >= limit) {
+    return Complain("bad " + option + " '" + text + "'");
+  }
+  *out = value;
+  return true;
+}
+
+int Run(const std::vector<std::string>& args) {
+  if (!args.empty() && args[0] == "check") {
+    if (args.size() != 3) return Usage();
+    for (const char* kind : kCheckKinds) {
+      if (args[1] != kind) continue;
+      std::string text;
+      if (!LoadFile(args[2], &text)) return 1;
+      return CheckText(kind, text, args[2]) ? 0 : 1;
+    }
+    Complain("unknown check kind '" + args[1] + "'");
+    return Usage();
+  }
+
   bool csv = false;
   std::vector<std::string> ledger_paths;
   std::vector<std::string> bench_paths;
@@ -915,59 +1580,55 @@ int main(int argc, char** argv) {
   double tolerance = 10.0;
   double time_tolerance = 50.0;
   double roofline_tolerance = 50.0;
+  const double kUnbounded = std::numeric_limits<double>::infinity();
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
     if (arg == "--selftest") return SelfTest();
     if (arg == "--csv") {
       csv = true;
-    } else if (arg == "--bench") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
+      continue;
+    }
+    if (arg.rfind("--", 0) != 0) {
+      ledger_paths.push_back(arg);
+      continue;
+    }
+    if (i + 1 == args.size()) return Usage();
+    const std::string& value = args[++i];
+    if (arg == "--bench") {
       bench_paths.push_back(value);
     } else if (arg == "--emit-baseline") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
       emit_baseline = value;
     } else if (arg == "--gate") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
       gate_path = value;
     } else if (arg == "--tolerance") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      tolerance = std::atof(value);
+      if (!ParsePercent(arg, value, kUnbounded, &tolerance)) return Usage();
     } else if (arg == "--time-tolerance") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      time_tolerance = std::atof(value);
+      if (!ParsePercent(arg, value, kUnbounded, &time_tolerance)) {
+        return Usage();
+      }
     } else if (arg == "--roofline") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
       roofline_paths.push_back(value);
     } else if (arg == "--emit-roofline-baseline") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
       emit_roofline_baseline = value;
     } else if (arg == "--gate-roofline") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
       gate_roofline_path = value;
     } else if (arg == "--roofline-tolerance") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      roofline_tolerance = std::atof(value);
-    } else if (arg.rfind("--", 0) == 0) {
+      if (!ParsePercent(arg, value, 100.0, &roofline_tolerance)) {
+        return Usage();
+      }
+    } else {
       Complain("unknown option '" + arg + "'");
       return Usage();
-    } else {
-      ledger_paths.push_back(arg);
     }
   }
   if (ledger_paths.empty() && bench_paths.empty() && roofline_paths.empty()) {
+    return Usage();
+  }
+  if ((!emit_roofline_baseline.empty() || !gate_roofline_path.empty()) &&
+      roofline_paths.size() != 1) {
+    Complain("--emit-roofline-baseline and --gate-roofline take exactly one "
+             "--roofline FILE");
     return Usage();
   }
 
@@ -1007,19 +1668,10 @@ int main(int argc, char** argv) {
   }
 
   if (!emit_roofline_baseline.empty()) {
-    if (rooflines.empty()) {
-      Complain("--emit-roofline-baseline requires --roofline FILE");
+    if (!WriteLine(emit_roofline_baseline,
+                   RenderRooflineBaseline(rooflines.front()))) {
       return 1;
     }
-    std::FILE* file = std::fopen(emit_roofline_baseline.c_str(), "w");
-    if (file == nullptr) {
-      Complain("cannot open " + emit_roofline_baseline + " for writing");
-      return 1;
-    }
-    const std::string json = RenderRooflineBaseline(rooflines.front());
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fputc('\n', file);
-    std::fclose(file);
     std::fprintf(stderr, "sthsl_report: wrote roofline baseline %s (%zu "
                  "op%s)\n",
                  emit_roofline_baseline.c_str(), rooflines.front().ops.size(),
@@ -1027,15 +1679,7 @@ int main(int argc, char** argv) {
   }
 
   if (!emit_baseline.empty()) {
-    std::FILE* file = std::fopen(emit_baseline.c_str(), "w");
-    if (file == nullptr) {
-      Complain("cannot open " + emit_baseline + " for writing");
-      return 1;
-    }
-    const std::string json = RenderBaseline(runs);
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fputc('\n', file);
-    std::fclose(file);
+    if (!WriteLine(emit_baseline, RenderBaseline(runs))) return 1;
     std::fprintf(stderr, "sthsl_report: wrote baseline %s (%zu entr%s)\n",
                  emit_baseline.c_str(), runs.size(),
                  runs.size() == 1 ? "y" : "ies");
@@ -1048,14 +1692,16 @@ int main(int argc, char** argv) {
     gate_failures += RunGate(text, gate_path, runs, tolerance, time_tolerance);
   }
   if (!gate_roofline_path.empty()) {
-    if (rooflines.empty()) {
-      Complain("--gate-roofline requires --roofline FILE");
-      return 1;
-    }
     std::string text;
     if (!LoadFile(gate_roofline_path, &text)) return 1;
     gate_failures += RunRooflineGate(text, gate_roofline_path,
                                      rooflines.front(), roofline_tolerance);
   }
   return gate_failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return Run(std::vector<std::string>(argv + 1, argv + argc));
 }
