@@ -1,5 +1,7 @@
 #include "core/sthsl_model.h"
 
+#include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -9,6 +11,45 @@
 #include "util/obs/obs.h"
 
 namespace sthsl {
+
+Status ValidateSthslConfig(const SthslConfig& config) {
+  auto invalid = [](const std::string& field, const std::string& rule,
+                    const std::string& value) {
+    return Status::InvalidArgument("invalid ST-HSL config: " + field +
+                                   " must be " + rule + ", got " + value);
+  };
+  if (config.dim < 1) {
+    return invalid("dim", ">= 1", std::to_string(config.dim));
+  }
+  if (config.num_hyperedges < 1) {
+    return invalid("num_hyperedges", ">= 1",
+                   std::to_string(config.num_hyperedges));
+  }
+  if (config.kernel_size < 1 || config.kernel_size % 2 == 0) {
+    return invalid("kernel_size", "odd and >= 1",
+                   std::to_string(config.kernel_size));
+  }
+  if (config.global_temporal_layers < 0) {
+    return invalid("global_temporal_layers", ">= 0",
+                   std::to_string(config.global_temporal_layers));
+  }
+  if (config.train.window < 1) {
+    return invalid("window", ">= 1", std::to_string(config.train.window));
+  }
+  // Written as negated in-range tests so NaN is rejected too.
+  if (!(config.dropout >= 0.0f && config.dropout < 1.0f)) {
+    return invalid("dropout", "in [0, 1)", std::to_string(config.dropout));
+  }
+  if (!(config.temperature > 0.0f && std::isfinite(config.temperature))) {
+    return invalid("temperature", "finite and > 0",
+                   std::to_string(config.temperature));
+  }
+  if (!(config.leaky_slope >= 0.0f && std::isfinite(config.leaky_slope))) {
+    return invalid("leaky_slope", "finite and >= 0",
+                   std::to_string(config.leaky_slope));
+  }
+  return Status::Ok();
+}
 
 SthslNet::SthslNet(const SthslConfig& config, int64_t grid_rows,
                    int64_t grid_cols, int64_t num_categories, float mean,
@@ -117,8 +158,7 @@ Tensor SthslNet::LocalEncode(const Tensor& embeddings, bool training) {
       s = Reshape(s, {w * d * num_categories_, 1, grid_rows_, grid_cols_});
     }
     for (Conv2dLayer* conv : {spatial_conv1_.get(), spatial_conv2_.get()}) {
-      Tensor y = conv->Forward(s);
-      s = LeakyRelu(Add(conv_dropout_->Forward(y), s), slope);
+      s = conv->Block(s, *conv_dropout_, slope);
     }
     if (!config_.use_category_conv) {
       s = Reshape(s, {w * d, num_categories_, grid_rows_, grid_cols_});
@@ -135,8 +175,7 @@ Tensor SthslNet::LocalEncode(const Tensor& embeddings, bool training) {
       s = Reshape(s, {num_regions_ * d * num_categories_, 1, w});
     }
     for (Conv1dLayer* conv : {temporal_conv1_.get(), temporal_conv2_.get()}) {
-      Tensor y = conv->Forward(s);
-      s = LeakyRelu(Add(conv_dropout_->Forward(y), s), slope);
+      s = conv->Block(s, *conv_dropout_, slope);
     }
     if (!config_.use_category_conv) {
       s = Reshape(s, {num_regions_ * d, num_categories_, w});
@@ -215,7 +254,7 @@ Tensor SthslNet::GlobalTemporal(const Tensor& gamma, bool training) {
   for (const auto& conv : global_temporal_convs_) {
     // Residual connection around each layer, as in Eq. 2-3: the deep
     // single-channel stack is otherwise lossy.
-    s = LeakyRelu(Add(conv_dropout_->Forward(conv->Forward(s)), s), slope);
+    s = conv->Block(s, *conv_dropout_, slope);
   }
   return Permute(
       Reshape(s, {num_regions_, num_categories_, d, w}), {0, 3, 1, 2});

@@ -11,6 +11,7 @@
 #include "nn/module.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace sthsl {
 
@@ -63,6 +64,15 @@ struct SthslConfig {
 
   TrainConfig train;
 };
+
+/// InvalidArgument, naming the field, when `config` describes a network
+/// SthslNet cannot build or run: dim, num_hyperedges and train.window must
+/// be >= 1; kernel_size odd and >= 1 (same padding); global_temporal_layers
+/// >= 0; dropout in [0, 1); temperature > 0; leaky_slope >= 0 (the conv
+/// blocks read the LeakyReLU derivative off their output). The one check
+/// for every config from outside the process: CLI flags and bundle
+/// manifests.
+Status ValidateSthslConfig(const SthslConfig& config);
 
 /// The ST-HSL network: crime embedding layer (Eq. 1), multi-view
 /// spatial-temporal convolution encoder (Eq. 2-3), hypergraph global

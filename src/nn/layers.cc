@@ -65,6 +65,15 @@ Tensor Conv2dLayer::Forward(const Tensor& x) const {
   return Conv2d(x, weight_, bias_, pad_h_, pad_w_);
 }
 
+Tensor Conv2dLayer::Block(const Tensor& x, const DropoutLayer& dropout,
+                          float slope) const {
+  STHSL_CHECK(pad_h_ == (weight_.Size(2) - 1) / 2 &&
+              pad_w_ == (weight_.Size(3) - 1) / 2)
+      << "a conv block needs same padding";
+  return ConvBlock(x, weight_, bias_, dropout.p(), dropout.rng(),
+                   dropout.IsTraining(), slope);
+}
+
 Conv1dLayer::Conv1dLayer(int64_t in_channels, int64_t out_channels,
                          int64_t kernel, Rng& rng, int64_t pad,
                          bool with_bias)
@@ -81,6 +90,14 @@ Conv1dLayer::Conv1dLayer(int64_t in_channels, int64_t out_channels,
 
 Tensor Conv1dLayer::Forward(const Tensor& x) const {
   return Conv1d(x, weight_, bias_, pad_);
+}
+
+Tensor Conv1dLayer::Block(const Tensor& x, const DropoutLayer& dropout,
+                          float slope) const {
+  STHSL_CHECK(pad_ == (weight_.Size(2) - 1) / 2)
+      << "a conv block needs same padding";
+  return ConvBlock(x, weight_, bias_, dropout.p(), dropout.rng(),
+                   dropout.IsTraining(), slope);
 }
 
 // -- Dropout --------------------------------------------------------------------

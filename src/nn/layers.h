@@ -28,6 +28,8 @@ class Linear : public Module {
   Tensor bias_;    // (out) or undefined
 };
 
+class DropoutLayer;
+
 /// Stride-1 2-D convolution layer with same/valid padding.
 class Conv2dLayer : public Module {
  public:
@@ -38,6 +40,11 @@ class Conv2dLayer : public Module {
 
   /// input (N, Cin, H, W) -> (N, Cout, H', W').
   Tensor Forward(const Tensor& x) const;
+
+  /// LeakyRelu(dropout(Forward(x)) + x, slope) as one ConvBlock op.
+  /// Requires cout == cin and same padding.
+  Tensor Block(const Tensor& x, const DropoutLayer& dropout,
+               float slope) const;
 
  private:
   Tensor weight_;
@@ -55,6 +62,11 @@ class Conv1dLayer : public Module {
   /// input (N, Cin, L) -> (N, Cout, L').
   Tensor Forward(const Tensor& x) const;
 
+  /// LeakyRelu(dropout(Forward(x)) + x, slope) as one ConvBlock op.
+  /// Requires cout == cin and same padding.
+  Tensor Block(const Tensor& x, const DropoutLayer& dropout,
+               float slope) const;
+
  private:
   Tensor weight_;
   Tensor bias_;
@@ -67,6 +79,10 @@ class DropoutLayer : public Module {
   DropoutLayer(float p, Rng& rng) : p_(p), rng_(rng.Fork()) {}
 
   Tensor Forward(const Tensor& x) const;
+
+  float p() const { return p_; }
+  /// The mask stream; ConvBlock draws from it exactly as Forward would.
+  Rng& rng() const { return rng_; }
 
  private:
   float p_;

@@ -174,6 +174,7 @@ Status ParseManifestJson(const std::string& text, BundleManifest* m) {
   std::string source;
   SERVE_RETURN_IF_ERROR(GetString(*arch, "prediction_source", &source));
   SERVE_RETURN_IF_ERROR(ParsePredictionSource(source, &c.prediction_source));
+  SERVE_RETURN_IF_ERROR(ValidateSthslConfig(c));
 
   const JsonValue* dataset =
       root.FindOfKind("dataset", JsonValue::Kind::kObject);

@@ -13,8 +13,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "simd/variants.h"
 
@@ -88,6 +90,173 @@ void AxpyAvx2(int64_t n, float a, const float* x, float* y) {
   for (int64_t i = n8; i < n; ++i) y[i] = std::fma(a, x[i], y[i]);
 }
 
+// All-ones in lanes [lo, hi) of an 8-lane vector, zeros elsewhere.
+inline __m256i LaneRange(int64_t lo, int64_t hi) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i at_or_above_lo = _mm256_cmpgt_epi32(
+      lane, _mm256_set1_epi32(static_cast<int>(lo) - 1));
+  const __m256i below_hi =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(hi)), lane);
+  return _mm256_and_si256(at_or_above_lo, below_hi);
+}
+
+// Most output columns one conv register tile spans (four 8-lane vectors).
+constexpr int64_t kConvTileCols = 32;
+
+// One tap column of a conv tile: column x of the tile reads source column
+// x + d, and kind[v] says which lanes of tile vector v read inside the
+// plane: none, all of them, or the lanes set in `lanes[v]`.
+struct TapColumn {
+  enum Kind : int8_t { kNone, kAll, kSome };
+  int64_t offset;  // x0 + d: vector v loads from row + offset + 8v
+  Kind kind[4];
+  __m256i lanes[4];
+};
+
+// Classifies tap column tx for the tile of output columns [x0, x0 + nx).
+// Lanes past nx count as outside, so no load ever leaves the row.
+TapColumn ClassifyTapColumn(const ConvGeometry& g, int64_t tx, int64_t x0,
+                            int64_t nx) {
+  TapColumn col;
+  const int64_t d = g.off_w + (g.flip ? -tx : tx);
+  col.offset = x0 + d;
+  const int64_t lo = std::max(x0, -d);
+  const int64_t hi = std::min(x0 + nx, g.src_w - d);
+  for (int v = 0; v < 4; ++v) {
+    const int64_t xv = x0 + 8 * v;
+    const int64_t a = std::max(lo, xv);
+    const int64_t b = std::min(hi, xv + 8);
+    col.kind[v] = a >= b       ? TapColumn::kNone
+                  : b - a == 8 ? TapColumn::kAll
+                               : TapColumn::kSome;
+    col.lanes[v] = LaneRange(a - xv, b - xv);
+  }
+  return col;
+}
+
+// A tile of R output rows by V 8-lane vectors (columns [x0, x0 + nx)) of
+// output channel o, held in R*V <= 8 ymm accumulators across every tap.
+// Tile rows are consecutive (sample, row) pairs, so a 1-D conv (one row per
+// sample) tiles across samples. A row whose source row is outside the plane
+// skips the tap; a vector straddling the plane's edge loads only its
+// in-plane lanes (masked lanes never touch memory) and blends the fma into
+// those lanes alone. Either way a padded tap leaves the accumulator bits
+// untouched, exactly as the portable kernel skips it.
+template <int R, int V>
+void ConvTile(const ConvGeometry& g, const TapColumn* cols, int64_t o,
+              int64_t t0, int64_t nrows, int64_t x0, int64_t nx) {
+  const int64_t step = g.flip ? -1 : 1;
+  const int64_t plane = g.src_h * g.src_w;
+  const int64_t src_w = g.src_w;
+  const int64_t kw = g.kw;
+  const float* src_rows[R];
+  int64_t ys[R];
+  for (int r = 0; r < R; ++r) {
+    const int64_t t = t0 + std::min<int64_t>(r, nrows - 1);
+    const int64_t s = t / g.out_h;
+    ys[r] = t - s * g.out_h;
+    src_rows[r] = g.src + s * g.src_sample;
+  }
+  __m256 acc[R][V];
+  const __m256 init = _mm256_set1_ps(g.bias != nullptr ? g.bias[o] : 0.0f);
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) acc[r][v] = init;
+  }
+  const float* taps = g.taps + o * g.tap_out;
+  for (int64_t c = 0; c < g.in_channels; ++c) {
+    for (int64_t ty = 0; ty < g.kh; ++ty) {
+      const float* rows[R];
+      bool all_rows = true;
+      bool any_row = false;
+      for (int r = 0; r < R; ++r) {
+        const int64_t sy = ys[r] + g.off_h + step * ty;
+        const bool in_plane = r < nrows && sy >= 0 && sy < g.src_h;
+        rows[r] = in_plane ? src_rows[r] + c * plane + sy * src_w : nullptr;
+        all_rows = all_rows && in_plane;
+        any_row = any_row || in_plane;
+      }
+      if (!any_row) continue;
+      const float* tap_row = taps + c * g.tap_in + ty * kw;
+      for (int64_t tx = 0; tx < kw; ++tx) {
+        const TapColumn& col = cols[tx];
+        const __m256 w = _mm256_set1_ps(tap_row[tx]);
+#pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+          if (col.kind[v] == TapColumn::kNone) continue;
+          const int64_t at = col.offset + 8 * v;
+          if (col.kind[v] == TapColumn::kAll) {
+#pragma GCC unroll 8
+            for (int r = 0; r < R; ++r) {
+              if (!all_rows && rows[r] == nullptr) continue;
+              acc[r][v] = _mm256_fmadd_ps(w, _mm256_loadu_ps(rows[r] + at),
+                                          acc[r][v]);
+            }
+          } else {
+            const __m256i m = col.lanes[v];
+#pragma GCC unroll 8
+            for (int r = 0; r < R; ++r) {
+              if (!all_rows && rows[r] == nullptr) continue;
+              const __m256 fma = _mm256_fmadd_ps(
+                  w, _mm256_maskload_ps(rows[r] + at, m), acc[r][v]);
+              acc[r][v] =
+                  _mm256_blendv_ps(acc[r][v], fma, _mm256_castsi256_ps(m));
+            }
+          }
+        }
+      }
+    }
+  }
+  for (int r = 0; r < R && r < nrows; ++r) {
+    const int64_t t = t0 + r;
+    const int64_t s = t / g.out_h;
+    float* out_row = g.out + s * g.out_sample +
+                     (o * g.out_h + (t - s * g.out_h)) * g.out_w + x0;
+    for (int v = 0; v < V; ++v) {
+      const int64_t valid = std::min<int64_t>(8, nx - 8 * v);
+      if (valid == 8) {
+        _mm256_storeu_ps(out_row + 8 * v, acc[r][v]);
+      } else {
+        _mm256_maskstore_ps(out_row + 8 * v, LaneRange(0, valid), acc[r][v]);
+      }
+    }
+  }
+}
+
+// Tiles every output channel's (sample, row) range, one column tile of up
+// to kConvTileCols at a time: 8 rows of one vector, 4 of two, or 2 of three
+// or four.
+void ConvAvx2(const ConvGeometry& g) {
+  const int64_t rows = g.samples * g.out_h;
+  std::vector<TapColumn> cols(static_cast<size_t>(g.kw));
+  for (int64_t x0 = 0; x0 < g.out_w; x0 += kConvTileCols) {
+    const int64_t nx = std::min(kConvTileCols, g.out_w - x0);
+    for (int64_t tx = 0; tx < g.kw; ++tx) {
+      cols[static_cast<size_t>(tx)] = ClassifyTapColumn(g, tx, x0, nx);
+    }
+    const int vectors = static_cast<int>((nx + 7) / 8);
+    const int64_t tile_rows = vectors == 1 ? 8 : vectors == 2 ? 4 : 2;
+    for (int64_t o = 0; o < g.out_channels; ++o) {
+      for (int64_t t0 = 0; t0 < rows; t0 += tile_rows) {
+        const int64_t nrows = std::min(tile_rows, rows - t0);
+        switch (vectors) {
+          case 1:
+            ConvTile<8, 1>(g, cols.data(), o, t0, nrows, x0, nx);
+            break;
+          case 2:
+            ConvTile<4, 2>(g, cols.data(), o, t0, nrows, x0, nx);
+            break;
+          case 3:
+            ConvTile<2, 3>(g, cols.data(), o, t0, nrows, x0, nx);
+            break;
+          default:
+            ConvTile<2, 4>(g, cols.data(), o, t0, nrows, x0, nx);
+            break;
+        }
+      }
+    }
+  }
+}
+
 // Canonical lane fold: b = lo + hi, c = [b0+b2, b1+b3], result = c0 + c1.
 inline float FoldAdd(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
@@ -105,8 +274,19 @@ float DotAvx2(int64_t n, const float* x, const float* y) {
     acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i),
                           acc);
   }
+  // The tail's serial fma chain, run over 7 fixed steps without branches:
+  // the masked loads zero the lanes past n, and fma(0, 0, tail) == tail
+  // because a chain that starts at +0 never holds -0.
   float tail = 0.0f;
-  for (int64_t i = n8; i < n; ++i) tail = std::fma(x[i], y[i], tail);
+  if (n8 < n) {
+    const __m256i m = LaneRange(0, n - n8);
+    alignas(32) float xt[8];
+    alignas(32) float yt[8];
+    _mm256_store_ps(xt, _mm256_maskload_ps(x + n8, m));
+    _mm256_store_ps(yt, _mm256_maskload_ps(y + n8, m));
+#pragma GCC unroll 7
+    for (int i = 0; i < 7; ++i) tail = std::fma(xt[i], yt[i], tail);
+  }
   return FoldAdd(acc) + tail;
 }
 
@@ -119,6 +299,16 @@ float ReduceSumAvx2(int64_t n, const float* x) {
   float tail = 0.0f;
   for (int64_t i = n8; i < n; ++i) tail += x[i];
   return FoldAdd(acc) + tail;
+}
+
+void ConvWeightGradAvx2(const ConvGeometry& g, const float* grad,
+                        float* dw, float* db, float* acc) {
+  ConvWeightGradLoop(
+      g, grad, dw, db, acc,
+      [](int64_t n, const float* x, const float* y) {
+        return DotAvx2(n, x, y);
+      },
+      [](int64_t n, const float* x) { return ReduceSumAvx2(n, x); });
 }
 
 inline float MaxSelect(float a, float b) { return a > b ? a : b; }
@@ -238,6 +428,22 @@ void ClampMinAvx2(int64_t n, const float* x, float floor, float* out) {
   for (int64_t i = n8; i < n; ++i) out[i] = x[i] > floor ? x[i] : floor;
 }
 
+void LeakyReluGradAvx2(int64_t n, const float* fx, const float* g,
+                       float slope, float* out) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 sv = _mm256_set1_ps(slope);
+  const int64_t n8 = n & ~int64_t{7};
+  for (int64_t i = 0; i < n8; i += 8) {
+    const __m256 gt = _mm256_cmp_ps(_mm256_loadu_ps(fx + i), zero, _CMP_GT_OQ);
+    const __m256 d = _mm256_blendv_ps(sv, one, gt);
+    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(g + i), d));
+  }
+  for (int64_t i = n8; i < n; ++i) {
+    out[i] = g[i] * (fx[i] > 0.0f ? 1.0f : slope);
+  }
+}
+
 void SgdStepAvx2(int64_t n, float* x, const float* g, float lr, float wd) {
   const __m256 wdv = _mm256_set1_ps(wd);
   const __m256 nlr = _mm256_set1_ps(-lr);
@@ -321,6 +527,8 @@ const MicrokernelSet* Avx2KernelsOrNull() {
       "avx2",
       GemmTileAvx2,
       AxpyAvx2,
+      ConvAvx2,
+      ConvWeightGradAvx2,
       DotAvx2,
       ReduceSumAvx2,
       ReduceMaxAvx2,
@@ -334,6 +542,7 @@ const MicrokernelSet* Avx2KernelsOrNull() {
       ReluAvx2,
       LeakyReluAvx2,
       ClampMinAvx2,
+      LeakyReluGradAvx2,
       SgdStepAvx2,
       SgdMomentumStepAvx2,
       AdamStepAvx2,

@@ -7,10 +7,12 @@
 // through the canonical pairwise tree; the lane assignment (j mod 8) and the
 // fold order are part of the contract, not an implementation detail.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "simd/simd.h"
+#include "simd/variants.h"
 
 namespace sthsl::simd {
 namespace {
@@ -32,6 +34,44 @@ void GemmTilePortable(const float* a_panel, const float* b_panel, float* c,
 
 void AxpyPortable(int64_t n, float a, const float* x, float* y) {
   for (int64_t i = 0; i < n; ++i) y[i] = std::fma(a, x[i], y[i]);
+}
+
+// The executable form of the ConvGeometry contract: each output row starts
+// from the bias, then takes one axpy per in-plane tap in ascending
+// (c, ty, tx) order, clamped to the columns whose source is in the plane.
+void ConvPortable(const ConvGeometry& g) {
+  const int64_t step = g.flip ? -1 : 1;
+  const int64_t plane = g.src_h * g.src_w;
+  for (int64_t s = 0; s < g.samples; ++s) {
+    const float* src = g.src + s * g.src_sample;
+    for (int64_t o = 0; o < g.out_channels; ++o) {
+      const float init = g.bias != nullptr ? g.bias[o] : 0.0f;
+      float* out_plane = g.out + s * g.out_sample + o * g.out_h * g.out_w;
+      for (int64_t y = 0; y < g.out_h; ++y) {
+        float* out_row = out_plane + y * g.out_w;
+        std::fill(out_row, out_row + g.out_w, init);
+        for (int64_t c = 0; c < g.in_channels; ++c) {
+          const float* taps = g.taps + o * g.tap_out + c * g.tap_in;
+          for (int64_t ty = 0; ty < g.kh; ++ty) {
+            const int64_t sy = y + g.off_h + step * ty;
+            if (sy < 0 || sy >= g.src_h) continue;
+            const float* row = src + c * plane + sy * g.src_w;
+            for (int64_t tx = 0; tx < g.kw; ++tx) {
+              // Column x reads row[x + d]; [lo, hi) keeps the read in the
+              // plane and is empty for a tap wholly in the padding.
+              const int64_t d = g.off_w + step * tx;
+              const int64_t lo = std::max<int64_t>(0, -d);
+              const int64_t hi = std::min(g.out_w, g.src_w - d);
+              const float wv = taps[ty * g.kw + tx];
+              for (int64_t x = lo; x < hi; ++x) {
+                out_row[x] = std::fma(wv, row[x + d], out_row[x]);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // Canonical lane fold shared by the reductions below: the exact tree a
@@ -68,6 +108,16 @@ float ReduceSumPortable(int64_t n, const float* x) {
   float tail = 0.0f;
   for (int64_t i = n8; i < n; ++i) tail += x[i];
   return FoldLanes(lane, tail);
+}
+
+void ConvWeightGradPortable(const ConvGeometry& g, const float* grad,
+                            float* dw, float* db, float* acc) {
+  ConvWeightGradLoop(
+      g, grad, dw, db, acc,
+      [](int64_t n, const float* x, const float* y) {
+        return DotPortable(n, x, y);
+      },
+      [](int64_t n, const float* x) { return ReduceSumPortable(n, x); });
 }
 
 // The select (a > b) ? a : b mirrors vmaxps(a, b) exactly: on equal operands
@@ -134,6 +184,13 @@ void ClampMinPortable(int64_t n, const float* x, float floor, float* out) {
   for (int64_t i = 0; i < n; ++i) out[i] = x[i] > floor ? x[i] : floor;
 }
 
+void LeakyReluGradPortable(int64_t n, const float* fx, const float* g,
+                           float slope, float* out) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = g[i] * (fx[i] > 0.0f ? 1.0f : slope);
+  }
+}
+
 void SgdStepPortable(int64_t n, float* x, const float* g, float lr,
                      float wd) {
   for (int64_t i = 0; i < n; ++i) {
@@ -173,6 +230,8 @@ const MicrokernelSet& PortableKernels() {
       "portable",
       GemmTilePortable,
       AxpyPortable,
+      ConvPortable,
+      ConvWeightGradPortable,
       DotPortable,
       ReduceSumPortable,
       ReduceMaxPortable,
@@ -186,6 +245,7 @@ const MicrokernelSet& PortableKernels() {
       ReluPortable,
       LeakyReluPortable,
       ClampMinPortable,
+      LeakyReluGradPortable,
       SgdStepPortable,
       SgdMomentumStepPortable,
       AdamStepPortable,

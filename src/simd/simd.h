@@ -3,7 +3,7 @@
 
 // Runtime-dispatched SIMD microkernel layer.
 //
-// Every inner loop of the tensor tier (GEMM register tiles, conv axpy/dot,
+// Every inner loop of the tensor tier (GEMM and conv register tiles,
 // reductions, elementwise strips, optimizer updates) calls through the
 // MicrokernelSet selected here once at startup: AVX2+FMA on x86-64 and a
 // portable scalar fallback everywhere. The STHSL_SIMD
@@ -16,10 +16,10 @@
 // the same order per output element*, so portable and vectorized runs are
 // bitwise-identical — down to checkpoint bytes — not merely close:
 //
-//  - Multiply-accumulate chains (gemm_tile, axpy, optimizer EMAs) use fused
-//    multiply-add everywhere: std::fma in the portable kernels, the fused
-//    vector instruction (vfmadd/vfma) in the SIMD kernels. One rounding per
-//    element per step in all variants.
+//  - Multiply-accumulate chains (gemm_tile, axpy, conv, optimizer EMAs) use
+//    fused multiply-add everywhere: std::fma in the portable kernels, the
+//    fused vector instruction (vfmadd/vfma) in the SIMD kernels. One
+//    rounding per element per step in all variants.
 //  - Lane-parallel elementwise ops (+, -, *, /, max, sqrt, compare/select)
 //    are IEEE-754 basic operations: a vector lane computes bit-for-bit what
 //    the scalar op computes, so these vectorize freely.
@@ -67,6 +67,36 @@ std::string CpuFeatureString();
 inline constexpr int64_t kGemmTileRows = 6;
 inline constexpr int64_t kGemmTileCols = 16;
 
+/// One stride-1 direct convolution over a block of `samples` samples, for
+/// MicrokernelSet::conv. Output element (s, o, y, x) is
+///
+///   acc = bias != nullptr ? bias[o] : +0
+///   for c, ty, tx ascending, skipping taps whose source (sy, sx) lies
+///   outside the src_h x src_w plane:
+///     acc = fma(taps[o*tap_out + c*tap_in + ty*kw + tx],
+///               src[s*src_sample + (c*src_h + sy)*src_w + sx], acc)
+///   out[s*out_sample + (o*out_h + y)*out_w + x] = acc
+///
+/// with (sy, sx) = (y + off_h + ty, x + off_w + tx), or
+/// (y + off_h - ty, x + off_w - tx) when `flip`. Forward conv is the
+/// unflipped form with off = -pad; the input gradient is the flipped form
+/// over the output gradient with off = +pad, so its taps still run in
+/// ascending (co, dy, dx) order. A padded tap is skipped, never fed as a
+/// zero: fma(w, 0, -0) would turn a -0 accumulator into +0.
+struct ConvGeometry {
+  const float* src;
+  int64_t src_h, src_w, src_sample;
+  int64_t in_channels;
+  const float* taps;
+  int64_t tap_out, tap_in, kh, kw;
+  int64_t off_h, off_w;
+  bool flip;
+  const float* bias;
+  float* out;
+  int64_t out_channels, out_h, out_w, out_sample;
+  int64_t samples;
+};
+
 /// One ISA variant of the microkernel layer. All buffers are float32; `n`
 /// counts elements. Function pointers are never null.
 struct MicrokernelSet {
@@ -85,6 +115,24 @@ struct MicrokernelSet {
 
   /// y[i] = fma(a, x[i], y[i])
   void (*axpy)(int64_t n, float a, const float* x, float* y);
+
+  /// Direct convolution (see ConvGeometry): every output element runs its
+  /// own fma chain over the in-plane taps. Vector variants hold a tile of
+  /// up to eight vectors in registers: one or more (sample, row) rows by
+  /// up to 32 columns.
+  void (*conv)(const ConvGeometry& g);
+
+  /// Weight and bias gradients of a forward conv geometry `g` (src is the
+  /// conv input; flip is false; taps, bias and out are unused), from
+  /// `grad`, laid out like g's output. For s, o, c, ty, tx ascending:
+  ///   acc = +0, then acc += dot(in-plane columns of row y) for each
+  ///   output row y ascending whose input row is in the plane;
+  ///   dw[(o*in_channels + c)*kh*kw + ty*kw + tx] += acc
+  /// (a tap wholly in the padding adds nothing), then, when db is not
+  /// null, db[o] += reduce_sum(grad plane (s, o)). dw may be null; `acc`
+  /// is scratch for in_channels*kh*kw floats.
+  void (*conv_weight_grad)(const ConvGeometry& g, const float* grad,
+                           float* dw, float* db, float* acc);
 
   /// Canonical 8-lane fma dot product (see the reduction contract above).
   float (*dot)(int64_t n, const float* x, const float* y);
@@ -111,6 +159,11 @@ struct MicrokernelSet {
   void (*leaky_relu)(int64_t n, const float* x, float slope, float* out);
   /// out[i] = x[i] > floor ? x[i] : floor
   void (*clamp_min)(int64_t n, const float* x, float floor, float* out);
+  /// out[i] = g[i] * (fx[i] > 0 ? 1 : slope): the LeakyRelu row's
+  /// derivative read off the output fx (fx > 0 exactly when x > 0, for
+  /// slope >= 0), times the incoming gradient g.
+  void (*leaky_relu_grad)(int64_t n, const float* fx, const float* g,
+                          float slope, float* out);
 
   // Optimizer updates (canonical formulas; see portable.cc).
   /// grad = fma(wd, x, g); x = fma(-lr, grad, x)

@@ -48,27 +48,6 @@ void RunStep(std::nullptr_t, Fwd fwd, float* buf, const float*, float,
   for (int64_t i = 0; i < n; ++i) buf[i] = fwd(buf[i]);
 }
 
-// Applies one step in place over a contiguous strip.
-void ApplyStep(const FusedStep& step, float* buf, const float* rhs,
-               int64_t n) {
-  const auto& ks = simd::Kernels();
-  const float s = step.scalar;
-  switch (step.op) {
-#define STHSL_FUSED_FWD_BINARY(fwd) [](float x, float y) { return fwd; }
-#define STHSL_FUSED_FWD_UNARY(fwd) [](float x) { return fwd; }
-#define STHSL_FUSED_FWD_SCALAR(fwd) [=](float x) { return fwd; }
-#define STHSL_FUSED_STEP(Fn, name, kind, fwd, d0, d1, reads_fx, kernel,     \
-                         checks)                                             \
-  case FusedOp::k##Fn:                                                       \
-    return RunStep(kernel, STHSL_FUSED_FWD_##kind(fwd), buf, rhs, s, n);
-    STHSL_ELEMENTWISE_OPS(STHSL_FUSED_STEP)
-#undef STHSL_FUSED_STEP
-#undef STHSL_FUSED_FWD_SCALAR
-#undef STHSL_FUSED_FWD_UNARY
-#undef STHSL_FUSED_FWD_BINARY
-  }
-}
-
 std::string FusedOpName(size_t nsteps) {
   return "fused_elemwise" + std::to_string(nsteps);
 }
@@ -108,6 +87,25 @@ bool RecordsGrad(const Tensor& a, const Tensor& b) {
 }
 
 }  // namespace
+
+void ApplyFusedStep(FusedOp op, float s, float* buf, const float* rhs,
+                    int64_t n) {
+  const auto& ks = simd::Kernels();
+  switch (op) {
+#define STHSL_FUSED_FWD_BINARY(fwd) [](float x, float y) { return fwd; }
+#define STHSL_FUSED_FWD_UNARY(fwd) [](float x) { return fwd; }
+#define STHSL_FUSED_FWD_SCALAR(fwd) [=](float x) { return fwd; }
+#define STHSL_FUSED_STEP(Fn, name, kind, fwd, d0, d1, reads_fx, kernel,     \
+                         checks)                                             \
+  case FusedOp::k##Fn:                                                       \
+    return RunStep(kernel, STHSL_FUSED_FWD_##kind(fwd), buf, rhs, s, n);
+    STHSL_ELEMENTWISE_OPS(STHSL_FUSED_STEP)
+#undef STHSL_FUSED_STEP
+#undef STHSL_FUSED_FWD_SCALAR
+#undef STHSL_FUSED_FWD_UNARY
+#undef STHSL_FUSED_FWD_BINARY
+  }
+}
 
 bool FusionEnabled() {
   const int forced = g_fusion_override.load(std::memory_order_acquire);
@@ -176,7 +174,8 @@ void MaterializePending(TensorImpl& impl) {
         for (size_t k = 0; k < steps.size(); ++k) {
           const float* rhs =
               rhs_ptr[k] != nullptr ? rhs_ptr[k] + lo : nullptr;
-          ApplyStep(steps[k], out + lo, rhs, hi - lo);
+          ApplyFusedStep(steps[k].op, steps[k].scalar, out + lo, rhs,
+                         hi - lo);
         }
       },
       "exec/fused_elemwise");

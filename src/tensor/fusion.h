@@ -62,6 +62,12 @@ struct FusedChain {
   std::vector<FusedStep> steps;
 };
 
+/// Applies one table row's forward in place over a contiguous strip:
+/// buf[i] = fwd(buf[i], rhs[i]) for BINARY rows, fwd(buf[i]) with operand
+/// `scalar` for SCALAR rows. Bitwise what the eager op computes.
+void ApplyFusedStep(FusedOp op, float scalar, float* buf, const float* rhs,
+                    int64_t n);
+
 /// True when new elementwise ops should build pending chains. Off under
 /// STHSL_DEBUG_CHECKS and STHSL_FUSION=0.
 bool FusionEnabled();

@@ -36,19 +36,17 @@ int64_t MatMulCells(const std::vector<Tensor>& inputs,
   return batch * m * k * n;
 }
 
-// batch·cout·cin·kh·kw·oh·ow of a Conv2d call, from the weight (Cout, Cin,
-// KH, KW) and the output (N, Cout, OH, OW).
+// batch·cout·cin·kh·kw·oh·ow of a conv call, from the weight (Cout, Cin,
+// [KH,] KW) and the output (N, Cout, [OH,] OW); a 1-D conv has kh = oh = 1.
 int64_t ConvCells(const std::vector<Tensor>& inputs,
                   const std::vector<int64_t>& out_shape) {
-  if (inputs.size() < 2 || !inputs[1].Defined() || inputs[1].Dim() != 4 ||
-      out_shape.size() != 4) {
+  if (inputs.size() < 2 || !inputs[1].Defined() || out_shape.size() < 3 ||
+      inputs[1].Dim() != static_cast<int64_t>(out_shape.size())) {
     return 0;
   }
-  const Tensor& weight = inputs[1];
-  const int64_t batch = out_shape[0];
-  const int64_t oh = out_shape[2];
-  const int64_t ow = out_shape[3];
-  return batch * weight.Numel() * oh * ow;
+  int64_t cells = out_shape[0] * inputs[1].Numel();
+  for (size_t d = 2; d < out_shape.size(); ++d) cells *= out_shape[d];
+  return cells;
 }
 
 // nnz·n of a SpMM call: inputs are {values (nnz,), b (·, n)} and the model

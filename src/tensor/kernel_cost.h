@@ -12,7 +12,10 @@
 //
 // Per-op forward models:
 //   matmul        2·batch·m·k·n           (multiply + add per cell)
-//   conv2d        batch·cout·cin·kh·kw·oh·ow·2   (bias fill is a write)
+//   conv2d        batch·cout·cin·kh·kw·oh·ow·2   (bias fill is a write;
+//                                          1-D convs record here with
+//                                          kh = oh = 1, and ConvBlock's
+//                                          epilogue is not counted)
 //   softmax       5·numel                 (max-cmp, sub, exp, add, div)
 //   every row of tensor/elementwise_ops.h          1·numel(out)
 //   sum_all / sum_dims                    numel(input) adds

@@ -333,7 +333,7 @@ Tensor Dropout(const Tensor& a, float p, Rng& rng, bool training) {
   const int64_t n = a.Numel();
   const float scale = 1.0f / (1.0f - p);
   std::vector<float> mask(static_cast<size_t>(n));
-  for (auto& m : mask) m = rng.Bernoulli(p) ? 0.0f : scale;
+  rng.DropoutMask(p, scale, mask.data(), n);
   Tensor mask_tensor = Tensor::FromVector(a.Shape(), std::move(mask));
   return Mul(a, mask_tensor);
 }

@@ -126,6 +126,17 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
 Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
               int64_t pad);
 
+/// ST-HSL's convolution block (Eq. 2-3 and 5) as one op:
+///   LeakyRelu(Add(Dropout(Conv(x), p, rng, training), x), slope)
+/// for a 1-D (N, C, L) or 2-D (N, C, H, W) input with a cout == cin weight
+/// of odd extents and same padding. Draws the dropout mask from `rng`
+/// exactly as Dropout does, and its output and gradients equal the unfused
+/// composition's bitwise. Keeps only the output and the mask for backward,
+/// and records as "conv2d" with inputs (x, weight, bias). Requires
+/// slope >= 0.
+Tensor ConvBlock(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                 float p, Rng& rng, bool training, float slope);
+
 // ---------------------------------------------------------------------------
 // Losses and similarity helpers.
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -19,6 +20,19 @@ uint64_t SplitMix64(uint64_t& x) {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// One xoshiro256** step.
+inline uint64_t Next(uint64_t s[4]) {
+  const uint64_t result = Rotl(s[1] * 5, 7) * 9;
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = Rotl(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -26,17 +40,7 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) word = SplitMix64(s);
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
+uint64_t Rng::NextU64() { return Next(state_); }
 
 double Rng::Uniform() {
   // 53 high bits -> double in [0, 1).
@@ -134,6 +138,23 @@ double Rng::Gamma(double shape, double scale) {
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
+
+void Rng::DropoutMask(double p, float keep, float* mask, int64_t n) {
+  STHSL_CHECK(p >= 0.0 && p <= 1.0) << "invalid Bernoulli probability " << p;
+  // Uniform() < p compares k * 2^-53 with p for the integer k = u >> 11;
+  // scaling by 2^53 is exact, and k < x <=> k < ceil(x) for integer k, so
+  // the draw is one integer compare against a threshold fixed up front.
+  // The select is formed on the bits (all-ones when kept, zero when
+  // dropped) so no data-dependent branch remains; a dropped entry is +0.
+  const uint64_t threshold = static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+  const uint32_t keep_bits = std::bit_cast<uint32_t>(keep);
+  uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t kept = (Next(s) >> 11) >= threshold;
+    mask[i] = std::bit_cast<float>(keep_bits & (0u - kept));
+  }
+  for (int k = 0; k < 4; ++k) state_[k] = s[k];
+}
 
 std::vector<int> Rng::Permutation(int n) {
   STHSL_CHECK_GE(n, 0);

@@ -50,6 +50,12 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool Bernoulli(double p);
 
+  /// Inverted-dropout mask: mask[i] = Bernoulli(p) ? 0 : keep for i in
+  /// [0, n), consuming exactly the values n Bernoulli(p) calls would, in
+  /// the same order. Runs as one branchless loop over a register copy of
+  /// the state. Requires 0 <= p <= 1.
+  void DropoutMask(double p, float keep, float* mask, int64_t n);
+
   /// Fisher-Yates shuffle of `values`.
   template <typename T>
   void Shuffle(std::vector<T>& values) {

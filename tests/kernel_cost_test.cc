@@ -84,6 +84,21 @@ TEST(KernelCostTest, Conv2dFlopsHandCounted) {
   EXPECT_EQ(BackwardOpFlops("conv2d", inputs, out_shape), 2 * 3888);
 }
 
+TEST(KernelCostTest, Conv1dFlopsAreConv2dWithUnitHeight) {
+  Rng rng(7);
+  // input (2, 3, 9) * weight (4, 3, 3), pad 1 -> out (2, 4, 9): the same
+  // count as the (2, 3, 1, 9) * (4, 3, 1, 3) 2-D view.
+  const std::vector<Tensor> one_d = {Tensor::Randn({2, 3, 9}, rng),
+                                     Tensor::Randn({4, 3, 3}, rng)};
+  const std::vector<Tensor> two_d = {Tensor::Randn({2, 3, 1, 9}, rng),
+                                     Tensor::Randn({4, 3, 1, 3}, rng)};
+  EXPECT_EQ(ForwardOpFlops("conv2d", one_d, {2, 4, 9}), 2 * 2 * 36 * 9);
+  EXPECT_EQ(ForwardOpFlops("conv2d", one_d, {2, 4, 9}),
+            ForwardOpFlops("conv2d", two_d, {2, 4, 1, 9}));
+  EXPECT_EQ(BackwardOpFlops("conv2d", one_d, {2, 4, 9}),
+            BackwardOpFlops("conv2d", two_d, {2, 4, 1, 9}));
+}
+
 TEST(KernelCostTest, SoftmaxElementwiseAndReduction) {
   Rng rng(7);
   std::vector<Tensor> one = {Tensor::Randn({4, 5}, rng)};

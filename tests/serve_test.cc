@@ -21,8 +21,10 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -473,6 +475,48 @@ TEST(BundleTest, MissingAndCorruptBundlesAreRejected) {
   // The error names the first missing field instead of a generic failure.
   EXPECT_NE(result.status().message().find("schema"), std::string::npos)
       << result.status().message();
+}
+
+// Replaces the value of the first `"key":` in compact manifest JSON.
+std::string WithField(std::string text, const std::string& key,
+                      const std::string& value) {
+  const std::string tag = "\"" + key + "\":";
+  const size_t at = text.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return text;
+  const size_t begin = at + tag.size();
+  const size_t end = text.find_first_of(",}", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+TEST(BundleTest, UnrunnableArchitecturesAreRejected) {
+  TempDir dir;
+  TrainAndRoundTripBundle(dir.path);
+  const std::string manifest_path = dir.path + "/manifest.json";
+  std::stringstream original;
+  original << std::ifstream(manifest_path).rdbuf();
+  ASSERT_TRUE(ReadManifest(dir.path).ok());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"dim", "0"},
+      {"num_hyperedges", "0"},
+      {"kernel_size", "4"},
+      {"kernel_size", "-1"},
+      {"global_temporal_layers", "-1"},
+      {"dropout", "1"},
+      {"dropout", "-0.5"},
+      {"temperature", "0"},
+      {"leaky_slope", "-0.5"},
+      {"window", "0"},
+  };
+  for (const auto& [key, value] : cases) {
+    std::ofstream(manifest_path, std::ios::trunc)
+        << WithField(original.str(), key, value);
+    auto result = ReadManifest(dir.path);
+    ASSERT_FALSE(result.ok()) << key << "=" << value;
+    EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(key), std::string::npos)
+        << result.status().message();
+  }
 }
 
 // Minimal blocking HTTP client for the loopback test.

@@ -184,6 +184,9 @@ TEST(SimdParity, ElementwiseBitwiseAcrossVariantsAndTails) {
       ref.clamp_min(n, x.data(), 0.25f, want.data());
       ks->clamp_min(n, x.data(), 0.25f, got.data());
       ExpectBitwiseEq(got, want, "clamp_min " + tag);
+      ref.leaky_relu_grad(n, x.data(), y.data(), 0.1f, want.data());
+      ks->leaky_relu_grad(n, x.data(), y.data(), 0.1f, got.data());
+      ExpectBitwiseEq(got, want, "leaky_relu_grad " + tag);
 
       // Aliased in-place form (out == x) must match the out-of-place result.
       std::vector<float> inplace = x;
@@ -284,6 +287,91 @@ TEST(SimdParity, GemmTileBitwiseAcrossVariantsAndEdges) {
                               std::to_string(mr) + " nr=" +
                               std::to_string(nr) + " kc=" +
                               std::to_string(kc));
+        }
+      }
+    }
+  }
+}
+
+// Every compiled conv and conv_weight_grad kernel against the portable one
+// over widths around the 8-lane vectors and the 32-column tile, kernels
+// wider than the plane (taps wholly in the padding), both tap directions,
+// with and without a bias, and ±0 inputs and a -0 bias. Two samples of
+// three rows exercise the (sample, row) tiling.
+TEST(SimdParity, ConvBitwiseAcrossVariantsAndEdges) {
+  const auto& ref = simd::PortableKernels();
+  for (const auto* ks : CompiledVariants()) {
+    for (int64_t width : {1, 3, 7, 8, 9, 16, 17, 31, 32, 33, 70}) {
+      for (int64_t k : {1, 3, 5, 9}) {
+        for (bool flip : {false, true}) {
+          const int64_t channels = 2, outs = 3, height = 3, samples = 2;
+          const int64_t pad = (k - 1) / 2;
+          const int64_t plane = height * width;
+          // k = 5 runs -0 inputs under positive taps instead of random
+          // values: the -0 bias must survive every padded tap (a zero fed
+          // in for one would turn it into +0).
+          const bool signed_zeros = k == 5;
+          const std::vector<float> src =
+              signed_zeros
+                  ? std::vector<float>(samples * channels * plane, -0.0f)
+                  : RandomValues(samples * channels * plane,
+                                 4000 + width + k);
+          const std::vector<float> taps =
+              signed_zeros ? std::vector<float>(outs * channels * k * k, 0.5f)
+                           : RandomValues(outs * channels * k * k,
+                                          5000 + width * k);
+          const std::vector<float> bias = {-0.0f, 0.5f, -1.25f};
+          for (const float* b : {bias.data(), static_cast<const float*>(
+                                                  nullptr)}) {
+            const simd::ConvGeometry base = {
+                .src = src.data(),
+                .src_h = height,
+                .src_w = width,
+                .src_sample = channels * plane,
+                .in_channels = channels,
+                .taps = taps.data(),
+                .tap_out = channels * k * k,
+                .tap_in = k * k,
+                .kh = k,
+                .kw = k,
+                .off_h = flip ? pad : -pad,
+                .off_w = flip ? pad : -pad,
+                .flip = flip,
+                .bias = b,
+                .out = nullptr,
+                .out_channels = outs,
+                .out_h = height,
+                .out_w = width,
+                .out_sample = outs * plane,
+                .samples = samples};
+            const std::string tag = std::string(ks->name) + " width=" +
+                                    std::to_string(width) + " k=" +
+                                    std::to_string(k) + " flip=" +
+                                    std::to_string(flip) +
+                                    (b != nullptr ? " biased" : "");
+            std::vector<float> got(samples * outs * plane, 7.0f);
+            std::vector<float> want(samples * outs * plane, 7.0f);
+            simd::ConvGeometry g = base;
+            g.out = got.data();
+            ks->conv(g);
+            g.out = want.data();
+            ref.conv(g);
+            ExpectBitwiseEq(got, want, "conv " + tag);
+            if (flip) continue;
+            // Weight and bias gradients of the forward geometry, with
+            // `src` as the input and `got` as the output gradient.
+            std::vector<float> acc(channels * k * k);
+            std::vector<float> dw_got(outs * channels * k * k, 0.5f);
+            std::vector<float> dw_want = dw_got;
+            std::vector<float> db_got(outs, -0.25f);
+            std::vector<float> db_want = db_got;
+            ks->conv_weight_grad(g, got.data(), dw_got.data(), db_got.data(),
+                                 acc.data());
+            ref.conv_weight_grad(g, got.data(), dw_want.data(),
+                                 db_want.data(), acc.data());
+            ExpectBitwiseEq(dw_got, dw_want, "conv_weight_grad dw " + tag);
+            ExpectBitwiseEq(db_got, db_want, "conv_weight_grad db " + tag);
+          }
         }
       }
     }

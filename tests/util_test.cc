@@ -74,6 +74,26 @@ TEST(RngTest, UniformInRange) {
   }
 }
 
+TEST(RngTest, DropoutMaskMatchesBernoulliLoop) {
+  for (float p : {0.0f, 1e-9f, 0.2f, 0.5f, 0.999f}) {
+    const float keep = 1.0f / (1.0f - p);
+    for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{229376}}) {
+      Rng loop(91);
+      Rng fused(91);
+      std::vector<float> want(static_cast<size_t>(n));
+      std::vector<float> got(static_cast<size_t>(n), -1.0f);
+      for (float& m : want) m = loop.Bernoulli(p) ? 0.0f : keep;
+      fused.DropoutMask(p, keep, got.data(), n);
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
+                  std::bit_cast<uint32_t>(want[i]))
+            << "p=" << p << " n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(loop.NextU64(), fused.NextU64()) << "p=" << p << " n=" << n;
+    }
+  }
+}
+
 TEST(RngTest, UniformIntBounds) {
   Rng rng(2);
   for (int i = 0; i < 1000; ++i) {

@@ -93,7 +93,9 @@ int Usage() {
   return 2;
 }
 
-SthslConfig ConfigFromArgs(const Args& args) {
+// The architecture and training flags; InvalidArgument when they describe
+// a network that cannot be built.
+Result<SthslConfig> ConfigFromArgs(const Args& args) {
   SthslConfig config;
   config.dim = args.GetInt("dim", 16);
   config.num_hyperedges = args.GetInt("hyper", 32);
@@ -102,7 +104,16 @@ SthslConfig ConfigFromArgs(const Args& args) {
   config.train.epochs = args.GetInt("epochs", 12);
   config.train.max_steps_per_epoch = args.GetInt("steps", 16);
   config.train.seed = static_cast<uint64_t>(args.GetInt("train-seed", 7));
+  if (Status status = ValidateSthslConfig(config); !status.ok()) {
+    return status;
+  }
   return config;
+}
+
+// Reports a bad flag the way Usage does: the message, then exit code 2.
+int BadArgs(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 2;
 }
 
 Result<CrimeDataset> LoadData(const Args& args) {
@@ -159,6 +170,8 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdTrain(const Args& args) {
+  auto config_or = ConfigFromArgs(args);
+  if (!config_or.ok()) return BadArgs(config_or.status());
   auto data_or = LoadData(args);
   if (!data_or.ok()) {
     std::fprintf(stderr, "%s\n", data_or.status().ToString().c_str());
@@ -166,7 +179,7 @@ int CmdTrain(const Args& args) {
   }
   const CrimeDataset& data = data_or.value();
   const int64_t train_end = data.num_days() - data.num_days() / 8;
-  SthslConfig config = ConfigFromArgs(args);
+  SthslConfig config = config_or.value();
   // Run-ledger output is wired here (not in ConfigFromArgs): evaluate and
   // forecast also build TrainConfigs for checkpoint materialization, and
   // those throwaway one-step fits must not be ledgered.
@@ -195,6 +208,8 @@ int CmdTrain(const Args& args) {
 }
 
 int CmdEvaluate(const Args& args) {
+  auto config_or = ConfigFromArgs(args);
+  if (!config_or.ok()) return BadArgs(config_or.status());
   auto data_or = LoadData(args);
   if (!data_or.ok()) {
     std::fprintf(stderr, "%s\n", data_or.status().ToString().c_str());
@@ -203,7 +218,7 @@ int CmdEvaluate(const Args& args) {
   const CrimeDataset& data = data_or.value();
   const int64_t train_end = data.num_days() - data.num_days() / 8;
   SthslForecaster model =
-      MaterializeModel(ConfigFromArgs(args), data, train_end);
+      MaterializeModel(config_or.value(), data, train_end);
   Status status = LoadCheckpoint(*model.mutable_net(), args.Get("ckpt", ""));
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -225,6 +240,8 @@ int CmdEvaluate(const Args& args) {
 }
 
 int CmdForecast(const Args& args) {
+  auto config_or = ConfigFromArgs(args);
+  if (!config_or.ok()) return BadArgs(config_or.status());
   auto data_or = LoadData(args);
   if (!data_or.ok()) {
     std::fprintf(stderr, "%s\n", data_or.status().ToString().c_str());
@@ -233,7 +250,7 @@ int CmdForecast(const Args& args) {
   const CrimeDataset& data = data_or.value();
   const int64_t horizon = args.GetInt("horizon", 7);
   SthslForecaster model =
-      MaterializeModel(ConfigFromArgs(args), data, data.num_days());
+      MaterializeModel(config_or.value(), data, data.num_days());
   Status status = LoadCheckpoint(*model.mutable_net(), args.Get("ckpt", ""));
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -277,6 +294,8 @@ std::string GitHashOrUnknown() {
 }
 
 int CmdExportBundle(const Args& args) {
+  auto config_or = ConfigFromArgs(args);
+  if (!config_or.ok()) return BadArgs(config_or.status());
   auto data_or = LoadData(args);
   if (!data_or.ok()) {
     std::fprintf(stderr, "%s\n", data_or.status().ToString().c_str());
@@ -290,7 +309,7 @@ int CmdExportBundle(const Args& args) {
   const CrimeDataset& data = data_or.value();
   const int64_t train_end = data.num_days() - data.num_days() / 8;
   SthslForecaster model =
-      MaterializeModel(ConfigFromArgs(args), data, train_end);
+      MaterializeModel(config_or.value(), data, train_end);
   Status status = LoadCheckpoint(*model.mutable_net(), args.Get("ckpt", ""));
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
