@@ -365,18 +365,13 @@ void RunRooflineBench() {
   Tensor target = Tensor::Rand({64, 4}, rng, 0.0f, 3.0f);
 
   // Sparse kernels at the Fig.-1 density regime (~5% fill): an incidence-
-  // shaped SpMM with fixed-pattern value grads, and an embedding-row gather.
+  // shaped SpMM with fixed-pattern value grads.
   Tensor sp_dense = Tensor::Randn({128, 1024}, rng, 1.0f, true);
   for (float& v : sp_dense.MutableData()) {
     if (!rng.Bernoulli(0.05)) v = 0.0f;
   }
   sparse::SparseTensor sp_csr = ToSparse(sp_dense).ToCsr();
   Tensor sp_b = Tensor::Randn({1024, 64}, rng, 1.0f, true);
-  Tensor gather_table = Tensor::Randn({4096, 64}, rng, 1.0f, true);
-  std::vector<int64_t> gather_idx(2048);
-  for (int64_t& idx : gather_idx) {
-    idx = static_cast<int64_t>(rng.Uniform(0.0, 4096.0)) % 4096;
-  }
 
   const std::vector<RooflineWorkload> workloads = {
       {"gemm_256",
@@ -403,11 +398,6 @@ void RunRooflineBench() {
          Sum(SpMM(sp_csr, vals, sp_b)).Backward();
          sp_dense.ZeroGrad();
          sp_b.ZeroGrad();
-       }},
-      {"gather_4k",
-       [&] {
-         Sum(GatherRows(gather_table, gather_idx)).Backward();
-         gather_table.ZeroGrad();
        }},
       {"elementwise_1m",
        [&] {

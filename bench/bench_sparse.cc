@@ -19,7 +19,7 @@
 /// the largest R — the memory gate CI enforces on BENCH_sparse.json.
 ///
 /// Times are single-shot (one forward, one backward) — this bench gates
-/// memory, not throughput; the roofline bench covers spmm/gather FLOP rates.
+/// memory, not throughput; the roofline bench covers spmm FLOP rates.
 
 #include <cstdint>
 #include <cstdio>

@@ -103,9 +103,9 @@ SthslNet::SthslNet(const SthslConfig& config, int64_t grid_rows,
     if (config_.hypergraph_density < 1.0f) {
       // Sparse incidence structure: keep each Xavier entry with probability
       // `hypergraph_density`, zero the rest. The surviving coordinates are
-      // the fixed pattern — HypergraphPropagate masks (or never
-      // materializes) gradients outside it, so dropped entries stay exact
-      // zeros through training.
+      // the fixed pattern — HypergraphPropagate never materializes
+      // gradients outside it, so dropped entries stay exact zeros through
+      // training.
       for (float& v : hypergraph_.MutableData()) {
         if (!rng.Bernoulli(config_.hypergraph_density)) v = 0.0f;
       }
@@ -199,38 +199,16 @@ Tensor SthslNet::HypergraphPropagate(const Tensor& embeddings) const {
   Tensor to_edges;  // (H, W*d)
   Tensor back;      // (RC, W*d)
   if (config_.hypergraph_density < 1.0f) {
-    // Fixed-pattern incidence: the pattern is exactly the parameter's
-    // current nonzeros (construction zeroed the rest, and both branches
-    // below keep gradients off the zero coordinates, so the set never
-    // changes). Dispatch on measured density, not the config knob — the two
-    // agree up to Bernoulli noise, but the stored structure is the truth.
-    const auto& h = hypergraph_.Data();
-    int64_t nnz = 0;
-    for (float v : h) {
-      if (v != 0.0f) ++nnz;
-    }
-    const double density =
-        static_cast<double>(nnz) / static_cast<double>(hypergraph_.Numel());
-    if (density <= config_.sparse_threshold) {
-      // Sparse path: CSR SpMM over stored entries only. Visits entries in
-      // the same ascending order the dense GEMM visits all entries, so the
-      // result is bitwise-identical to the masked-dense branch.
-      sparse::SparseTensor csr = ToSparse(hypergraph_).ToCsr();
-      Tensor values = SparseValues(hypergraph_, csr);
-      to_edges = LeakyRelu(SpMM(csr, values, e2), slope);
-      back = LeakyRelu(
-          SpMM(csr, values, to_edges, /*transpose_a=*/true), slope);
-    } else {
-      // Masked-dense path: multiplying by the 0/1 pattern mask is a no-op
-      // on the forward values (the zeros are already exact +0) but blocks
-      // gradient flow to the zero coordinates in the backward pass.
-      std::vector<float> mask(h.size());
-      for (size_t i = 0; i < h.size(); ++i) mask[i] = h[i] != 0.0f ? 1.0f : 0.0f;
-      Tensor hm = Mul(hypergraph_,
-                      Tensor::FromVector(hypergraph_.Shape(), std::move(mask)));
-      to_edges = LeakyRelu(MatMul(hm, e2), slope);
-      back = LeakyRelu(MatMul(Transpose(hm, 0, 1), to_edges), slope);
-    }
+    // Fixed-pattern incidence: CSR SpMM over the parameter's current
+    // nonzeros. Construction zeroed the rest and SparseValues keeps their
+    // gradient at zero, so the pattern never changes. It is rebuilt per
+    // forward rather than cached: LoadCheckpoint overwrites the values in
+    // place, and a cached pattern would go stale.
+    sparse::SparseTensor csr = ToSparse(hypergraph_).ToCsr();
+    Tensor values = SparseValues(hypergraph_, csr);
+    to_edges = LeakyRelu(SpMM(csr, values, e2), slope);
+    back = LeakyRelu(SpMM(csr, values, to_edges, /*transpose_a=*/true),
+                     slope);
   } else {
     to_edges = LeakyRelu(MatMul(hypergraph_, e2), slope);
     back = LeakyRelu(MatMul(Transpose(hypergraph_, 0, 1), to_edges), slope);

@@ -52,15 +52,10 @@ struct SthslConfig {
   // Sparse hypergraph incidence (docs/sparse.md). `hypergraph_density` is
   // the fraction of Xavier-initialized incidence entries kept at init; the
   // rest are zeroed and — by the fixed-pattern gradient contract — stay
-  // exactly zero for the lifetime of the model, so the learned structure is
-  // genuinely sparse. 1.0 (default) is the classic fully dense parameter
-  // and leaves every code path untouched. When the incidence density is at
-  // or below `sparse_threshold`, HypergraphPropagate dispatches CSR SpMM
-  // kernels; above it (but below 1) a masked-dense path applies the same
-  // fixed-pattern semantics with dense GEMMs. Both paths are
-  // bitwise-identical in outputs, gradients and checkpoints.
+  // exactly zero for the lifetime of the model. 1.0 (default) is the
+  // paper's fully dense parameter and dense GEMMs; below 1,
+  // HypergraphPropagate runs CSR SpMM over the live nonzeros.
   float hypergraph_density = 1.0f;
-  float sparse_threshold = 0.25f;
 
   TrainConfig train;
 };

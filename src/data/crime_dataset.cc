@@ -1,10 +1,10 @@
 #include "data/crime_dataset.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <system_error>
 
-#include "tensor/ops.h"
 #include "util/check.h"
 #include "util/csv.h"
 
@@ -26,24 +26,9 @@ CrimeDataset::CrimeDataset(std::string city_name, int64_t rows, int64_t cols,
       << "category count mismatch";
   days_ = counts_.Size(1);
   cats_ = counts_.Size(2);
-  const auto& data = counts_.Data();
-  for (float v : data) {
+  for (float v : counts_.Data()) {
     if (v != 0.0f) ++nnz_;
   }
-  if (!data.empty() && Density() <= SparseStorageThreshold()) {
-    sparse_mode_ = true;
-    sparse_counts_ = sparse::SparseTensor::FromDense(
-        data.data(), counts_.Shape());
-    counts_ = Tensor();  // release the dense buffer; counts() rebuilds it
-  }
-}
-
-const Tensor& CrimeDataset::counts() const {
-  if (sparse_mode_ && !counts_.Defined()) {
-    counts_ = Tensor::FromVector(sparse_counts_.shape(),
-                                 sparse_counts_.ToDense());
-  }
-  return counts_;
 }
 
 double CrimeDataset::Density() const {
@@ -52,191 +37,99 @@ double CrimeDataset::Density() const {
   return static_cast<double>(nnz_) / static_cast<double>(numel);
 }
 
-double CrimeDataset::SparseStorageThreshold() {
-  // Re-read on every call (it only runs once per dataset construction), so
-  // tests can flip storage modes within one process.
-  const char* env = std::getenv("STHSL_DATA_SPARSE_THRESHOLD");
-  if (env == nullptr || env[0] == '\0') return 0.25;
-  return std::min(1.0, std::max(0.0, std::atof(env)));
-}
-
-void CrimeDataset::ForEachNonzero(
-    const std::function<void(int64_t, int64_t, int64_t, float)>& fn) const {
-  if (sparse_mode_) {
-    const auto& flat = sparse_counts_.FlatIndices();
-    const auto& vals = sparse_counts_.Values();
-    for (size_t e = 0; e < flat.size(); ++e) {
-      const int64_t f = flat[e];
-      const int64_t r = f / (days_ * cats_);
-      const int64_t rem = f % (days_ * cats_);
-      fn(r, rem / cats_, rem % cats_, vals[e]);
-    }
-    return;
-  }
-  const auto& data = counts_.Data();
-  const int64_t regions = num_regions();
-  for (int64_t r = 0; r < regions; ++r) {
-    for (int64_t t = 0; t < days_; ++t) {
-      for (int64_t c = 0; c < cats_; ++c) {
-        const float v = data[static_cast<size_t>((r * days_ + t) * cats_ + c)];
-        if (v != 0.0f) fn(r, t, c, v);
-      }
-    }
-  }
-}
-
 float CrimeDataset::Count(int64_t r, int64_t t, int64_t c) const {
   STHSL_CHECK(r >= 0 && r < num_regions() && t >= 0 && t < days_ && c >= 0 &&
               c < cats_);
-  if (sparse_mode_) {
-    const auto& flat = sparse_counts_.FlatIndices();
-    const int64_t f = (r * days_ + t) * cats_ + c;
-    auto it = std::lower_bound(flat.begin(), flat.end(), f);
-    if (it == flat.end() || *it != f) return 0.0f;
-    return sparse_counts_.Values()[static_cast<size_t>(it - flat.begin())];
-  }
   return counts_.At({r, t, c});
 }
 
 double CrimeDataset::CategoryTotal(int64_t c) const {
   STHSL_CHECK(c >= 0 && c < cats_);
-  // Nonzero cells arrive in ascending (r, t, c) order — the same order the
-  // dense loop visits them — and skipping exact zeros leaves a double
-  // accumulation unchanged, so both storage modes produce the same total.
+  const auto& data = counts_.Data();
   double total = 0.0;
-  ForEachNonzero([&](int64_t, int64_t, int64_t cc, float v) {
-    if (cc == c) total += v;
-  });
+  for (int64_t r = 0; r < num_regions(); ++r) {
+    for (int64_t t = 0; t < days_; ++t) total += data[Offset(r, t, c)];
+  }
   return total;
 }
 
 double CrimeDataset::DensityDegree(int64_t r) const {
   STHSL_CHECK(r >= 0 && r < num_regions());
-  std::vector<char> active(static_cast<size_t>(days_), 0);
-  ForEachNonzero([&](int64_t rr, int64_t t, int64_t, float v) {
-    if (rr == r && v > 0.0f) active[static_cast<size_t>(t)] = 1;
-  });
+  const auto& data = counts_.Data();
   int64_t active_days = 0;
-  for (char a : active) active_days += a;
+  for (int64_t t = 0; t < days_; ++t) {
+    for (int64_t c = 0; c < cats_; ++c) {
+      if (data[Offset(r, t, c)] > 0.0f) {
+        ++active_days;
+        break;
+      }
+    }
+  }
   return static_cast<double>(active_days) / static_cast<double>(days_);
 }
 
 double CrimeDataset::DensityDegree(int64_t r, int64_t c) const {
   STHSL_CHECK(r >= 0 && r < num_regions());
   STHSL_CHECK(c >= 0 && c < cats_);
+  const auto& data = counts_.Data();
   int64_t active_days = 0;
-  ForEachNonzero([&](int64_t rr, int64_t, int64_t cc, float v) {
-    if (rr == r && cc == c && v > 0.0f) ++active_days;
-  });
+  for (int64_t t = 0; t < days_; ++t) {
+    if (data[Offset(r, t, c)] > 0.0f) ++active_days;
+  }
   return static_cast<double>(active_days) / static_cast<double>(days_);
 }
 
 void CrimeDataset::ComputeMoments(float* mean, float* stddev) const {
   const int64_t numel = num_regions() * days_ * cats_;
   STHSL_CHECK_GT(numel, 0);
-  if (!sparse_mode_ || counts_.Defined()) {
-    const auto& data = counts().Data();
-    double sum = 0.0;
-    for (float v : data) sum += v;
-    const double mu = sum / static_cast<double>(numel);
-    double var = 0.0;
-    for (float v : data) var += (v - mu) * (v - mu);
-    var /= static_cast<double>(numel);
-    *mean = static_cast<float>(mu);
-    *stddev = static_cast<float>(std::sqrt(std::max(var, 1e-12)));
-    return;
-  }
-  // Sparse walk, bit-exact against the dense loop above: skipping zero
-  // addends leaves the sum unchanged, and the variance pass replays every
-  // cell in flat order — each zero cell contributes (0 - mu)² == mu·mu, one
-  // sequential add per cell, exactly like the dense loop.
-  const auto& flat = sparse_counts_.FlatIndices();
-  const auto& vals = sparse_counts_.Values();
+  const auto& data = counts_.Data();
   double sum = 0.0;
-  for (float v : vals) sum += v;
+  for (float v : data) sum += v;
   const double mu = sum / static_cast<double>(numel);
-  const double zero_sq = mu * mu;
   double var = 0.0;
-  int64_t next = 0;
-  for (size_t e = 0; e < flat.size(); ++e) {
-    for (int64_t i = next; i < flat[e]; ++i) var += zero_sq;
-    var += (vals[e] - mu) * (vals[e] - mu);
-    next = flat[e] + 1;
-  }
-  for (int64_t i = next; i < numel; ++i) var += zero_sq;
+  for (float v : data) var += (v - mu) * (v - mu);
   var /= static_cast<double>(numel);
   *mean = static_cast<float>(mu);
   *stddev = static_cast<float>(std::sqrt(std::max(var, 1e-12)));
 }
 
+std::vector<float> CrimeDataset::CopyDays(int64_t start,
+                                          int64_t length) const {
+  const auto& data = counts_.Data();
+  std::vector<float> out;
+  out.reserve(static_cast<size_t>(num_regions() * length * cats_));
+  for (int64_t r = 0; r < num_regions(); ++r) {
+    out.insert(out.end(), data.begin() + Offset(r, start, 0),
+               data.begin() + Offset(r, start + length, 0));
+  }
+  return out;
+}
+
 CrimeDataset CrimeDataset::SliceDays(int64_t start, int64_t length) const {
   STHSL_CHECK(start >= 0 && length >= 0 && start + length <= days_);
-  if (sparse_mode_) {
-    // Scatter the surviving entries into a dense slice; the constructor
-    // re-engages sparse storage if the slice is below threshold.
-    std::vector<float> out(
-        static_cast<size_t>(num_regions() * length * cats_), 0.0f);
-    ForEachNonzero([&](int64_t r, int64_t t, int64_t c, float v) {
-      if (t < start || t >= start + length) return;
-      out[static_cast<size_t>((r * length + (t - start)) * cats_ + c)] = v;
-    });
-    return CrimeDataset(
-        city_name_, rows_, cols_, category_names_,
-        Tensor::FromVector({num_regions(), length, cats_}, std::move(out)));
-  }
-  NoGradGuard no_grad;
-  Tensor sliced = Narrow(counts_, 1, start, length);
   return CrimeDataset(city_name_, rows_, cols_, category_names_,
-                      sliced.Detach());
+                      Tensor::FromVector({num_regions(), length, cats_},
+                                         CopyDays(start, length)));
 }
 
 Tensor CrimeDataset::WindowInput(int64_t t_end, int64_t window) const {
   STHSL_CHECK(t_end - window >= 0 && t_end <= days_)
       << "window [" << t_end - window << ", " << t_end << ") out of range";
-  if (sparse_mode_) {
-    const int64_t start = t_end - window;
-    std::vector<float> out(
-        static_cast<size_t>(num_regions() * window * cats_), 0.0f);
-    ForEachNonzero([&](int64_t r, int64_t t, int64_t c, float v) {
-      if (t < start || t >= t_end) return;
-      out[static_cast<size_t>((r * window + (t - start)) * cats_ + c)] = v;
-    });
-    return Tensor::FromVector({num_regions(), window, cats_}, std::move(out));
-  }
-  NoGradGuard no_grad;
-  return Narrow(counts_, 1, t_end - window, window).Detach();
+  return Tensor::FromVector({num_regions(), window, cats_},
+                            CopyDays(t_end - window, window));
 }
 
 int64_t CrimeDataset::WindowNnz(int64_t t_end, int64_t window) const {
   STHSL_CHECK(t_end - window >= 0 && t_end <= days_)
       << "window [" << t_end - window << ", " << t_end << ") out of range";
-  const int64_t start = t_end - window;
-  int64_t nnz = 0;
-  ForEachNonzero([&](int64_t, int64_t t, int64_t, float) {
-    if (t >= start && t < t_end) ++nnz;
-  });
-  return nnz;
-}
-
-double CrimeDataset::WindowDensity(int64_t t_end, int64_t window) const {
-  const int64_t cells = num_regions() * window * cats_;
-  if (cells == 0) return 0.0;
-  return static_cast<double>(WindowNnz(t_end, window)) /
-         static_cast<double>(cells);
+  const std::vector<float> cells = CopyDays(t_end - window, window);
+  return std::count_if(cells.begin(), cells.end(),
+                       [](float v) { return v != 0.0f; });
 }
 
 Tensor CrimeDataset::TargetDay(int64_t t) const {
   STHSL_CHECK(t >= 0 && t < days_);
-  if (sparse_mode_) {
-    std::vector<float> out(static_cast<size_t>(num_regions() * cats_), 0.0f);
-    ForEachNonzero([&](int64_t r, int64_t tt, int64_t c, float v) {
-      if (tt == t) out[static_cast<size_t>(r * cats_ + c)] = v;
-    });
-    return Tensor::FromVector({num_regions(), cats_}, std::move(out));
-  }
-  NoGradGuard no_grad;
-  Tensor day = Narrow(counts_, 1, t, 1);
-  return Reshape(day, {num_regions(), num_categories()}).Detach();
+  return Tensor::FromVector({num_regions(), cats_}, CopyDays(t, 1));
 }
 
 Status CrimeDataset::SaveCsv(const std::string& path) const {
@@ -251,17 +144,35 @@ Status CrimeDataset::SaveCsv(const std::string& path) const {
                         std::to_string(cols_), std::to_string(regions - 1),
                         std::to_string(days_ - 1), std::to_string(cats_ - 1),
                         category_names_[static_cast<size_t>(cats_ - 1)], "0"});
-  // Both storage modes enumerate nonzeros in (r, t, c) order, so the file
-  // bytes are independent of the storage mode.
-  ForEachNonzero([&](int64_t r, int64_t t, int64_t c, float v) {
-    table.rows.push_back({city_name_, std::to_string(rows_),
-                          std::to_string(cols_), std::to_string(r),
-                          std::to_string(t), std::to_string(c),
-                          category_names_[static_cast<size_t>(c)],
-                          std::to_string(static_cast<int64_t>(v))});
-  });
+  const auto& data = counts_.Data();
+  for (int64_t r = 0; r < regions; ++r) {
+    for (int64_t t = 0; t < days_; ++t) {
+      for (int64_t c = 0; c < cats_; ++c) {
+        const float v = data[Offset(r, t, c)];
+        if (v == 0.0f) continue;
+        table.rows.push_back({city_name_, std::to_string(rows_),
+                              std::to_string(cols_), std::to_string(r),
+                              std::to_string(t), std::to_string(c),
+                              category_names_[static_cast<size_t>(c)],
+                              std::to_string(static_cast<int64_t>(v))});
+      }
+    }
+  }
   return WriteCsv(path, table);
 }
+
+namespace {
+
+/// Parses the whole of `field` as a T; false on empty input, trailing
+/// bytes or overflow.
+template <typename T>
+bool ParseWhole(const std::string& field, T* out) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end && !field.empty();
+}
+
+}  // namespace
 
 Result<CrimeDataset> CrimeDataset::LoadCsv(const std::string& path) {
   auto table_or = ReadCsv(path);
@@ -274,46 +185,98 @@ Result<CrimeDataset> CrimeDataset::LoadCsv(const std::string& path) {
     return Status::InvalidArgument("empty crime csv " + path);
   }
 
-  std::string city;
+  struct Cell {
+    int64_t r, t, c;
+    float count;
+  };
+  std::vector<Cell> cells;
+  cells.reserve(table.rows.size());
+  const std::vector<std::string>& first = table.rows.front();
   int64_t rows = 0;
   int64_t cols = 0;
+  int64_t regions = 0;
   int64_t max_day = 0;
   int64_t max_cat = 0;
-  for (const auto& row : table.rows) {
+  for (size_t i = 0; i < table.rows.size(); ++i) {
+    const std::vector<std::string>& row = table.rows[i];
+    auto where = [&] {  // line 1 is the header
+      return "crime csv " + path + " line " + std::to_string(i + 2) + ": ";
+    };
     if (row.size() != 8) {
-      return Status::InvalidArgument("malformed crime csv row in " + path);
+      return Status::InvalidArgument(where() + "expected 8 fields, got " +
+                                     std::to_string(row.size()));
     }
-    city = row[0];
-    rows = std::atoll(row[1].c_str());
-    cols = std::atoll(row[2].c_str());
-    max_day = std::max<int64_t>(max_day, std::atoll(row[4].c_str()));
-    max_cat = std::max<int64_t>(max_cat, std::atoll(row[5].c_str()));
+    Cell cell;
+    if (!ParseWhole(row[3], &cell.r) || !ParseWhole(row[4], &cell.t) ||
+        !ParseWhole(row[5], &cell.c)) {
+      return Status::InvalidArgument(
+          where() + "region, day and category must be integers");
+    }
+    if (!ParseWhole(row[7], &cell.count) || !std::isfinite(cell.count) ||
+        cell.count < 0.0f) {
+      return Status::InvalidArgument(where() + "count '" + row[7] +
+                                     "' is not a finite number >= 0");
+    }
+    if (i == 0) {
+      if (!ParseWhole(row[1], &rows) || !ParseWhole(row[2], &cols) ||
+          rows < 1 || cols < 1) {
+        return Status::InvalidArgument(
+            where() + "rows and cols must be integers >= 1");
+      }
+      if (rows > kMaxCsvCells / cols) {
+        return Status::OutOfRange(where() + "a " + row[1] + "x" + row[2] +
+                                  " grid exceeds the cap of " +
+                                  std::to_string(kMaxCsvCells) + " cells");
+      }
+      regions = rows * cols;
+    } else if (row[0] != first[0] || row[1] != first[1] ||
+               row[2] != first[2]) {
+      return Status::InvalidArgument(
+          where() + "city and geometry '" + row[0] + "," + row[1] + "," +
+          row[2] + "' differ from line 2's '" + first[0] + "," + first[1] +
+          "," + first[2] + "'");
+    }
+    if (cell.r < 0 || cell.r >= regions) {
+      return Status::OutOfRange(where() + "region " + row[3] +
+                                " is outside the " + std::to_string(regions) +
+                                "-region grid");
+    }
+    if (cell.t < 0 || cell.t >= kMaxCsvCells || cell.c < 0 ||
+        cell.c >= kMaxCsvCells) {
+      return Status::OutOfRange(where() + "day " + row[4] + " or category " +
+                                row[5] + " is outside [0, " +
+                                std::to_string(kMaxCsvCells) + ")");
+    }
+    max_day = std::max(max_day, cell.t);
+    max_cat = std::max(max_cat, cell.c);
+    cells.push_back(cell);
   }
-  const int64_t regions = rows * cols;
   const int64_t days = max_day + 1;
   const int64_t cats = max_cat + 1;
-  if (regions <= 0 || days <= 0 || cats <= 0) {
-    return Status::InvalidArgument("invalid dimensions in crime csv " + path);
+  // Each factor is at most the cap, so dividing decides the bound before
+  // any product can overflow.
+  if (days > kMaxCsvCells / regions ||
+      cats > kMaxCsvCells / (regions * days)) {
+    return Status::OutOfRange(
+        "crime csv " + path + ": " + std::to_string(regions) + " regions x " +
+        std::to_string(days) + " days x " + std::to_string(cats) +
+        " categories exceeds the cap of " + std::to_string(kMaxCsvCells) +
+        " cells");
   }
 
   std::vector<std::string> category_names(static_cast<size_t>(cats));
   std::vector<float> data(static_cast<size_t>(regions * days * cats), 0.0f);
-  for (const auto& row : table.rows) {
-    const int64_t r = std::atoll(row[3].c_str());
-    const int64_t t = std::atoll(row[4].c_str());
-    const int64_t c = std::atoll(row[5].c_str());
-    if (r < 0 || r >= regions || t < 0 || t >= days || c < 0 || c >= cats) {
-      return Status::OutOfRange("index out of range in crime csv " + path);
-    }
-    category_names[static_cast<size_t>(c)] = row[6];
-    data[static_cast<size_t>((r * days + t) * cats + c)] =
-        static_cast<float>(std::atof(row[7].c_str()));
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const Cell& cell = cells[i];
+    category_names[static_cast<size_t>(cell.c)] = table.rows[i][6];
+    data[static_cast<size_t>((cell.r * days + cell.t) * cats + cell.c)] =
+        cell.count;
   }
   for (auto& name : category_names) {
     if (name.empty()) name = "unknown";
   }
   Tensor counts = Tensor::FromVector({regions, days, cats}, std::move(data));
-  return CrimeDataset(city, rows, cols, std::move(category_names),
+  return CrimeDataset(first[0], rows, cols, std::move(category_names),
                       std::move(counts));
 }
 

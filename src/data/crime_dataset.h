@@ -2,11 +2,9 @@
 #define STHSL_DATA_CRIME_DATASET_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "sparse/sparse_tensor.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -39,16 +37,8 @@ class CrimeDataset {
     return category_names_;
   }
 
-  /// The full (R, T, C) tensor (detached; no autograd). In sparse storage
-  /// mode the dense tensor is materialized (and cached) on first use; the
-  /// first call is not thread-safe in that mode.
-  const Tensor& counts() const;
-
-  /// True when the counts are held in COO sparse storage — engaged at
-  /// construction whenever the fill fraction is at or below
-  /// SparseStorageThreshold(). Every accessor below works identically (and
-  /// value-exactly) in both modes; see docs/sparse.md.
-  bool sparse_storage() const { return sparse_mode_; }
+  /// The full (R, T, C) tensor (detached; no autograd).
+  const Tensor& counts() const { return counts_; }
 
   /// Nonzero cells of the full (R, T, C) tensor.
   int64_t Nnz() const { return nnz_; }
@@ -60,16 +50,6 @@ class CrimeDataset {
   /// t_end) — the per-window sparsity statistic behind the paper's Fig. 1
   /// discussion (most region-day-category cells are empty).
   int64_t WindowNnz(int64_t t_end, int64_t window) const;
-
-  /// Fill fraction of the same window: WindowNnz / (R·window·C).
-  double WindowDensity(int64_t t_end, int64_t window) const;
-
-  /// Density threshold at or below which freshly constructed datasets keep
-  /// COO storage instead of the dense tensor. Reads the environment
-  /// variable STHSL_DATA_SPARSE_THRESHOLD at each construction (default
-  /// 0.25, clamped to [0, 1]); set it to 0 to force dense storage, to 1 to
-  /// force sparse.
-  static double SparseStorageThreshold();
 
   /// Crime count at region r, day t, category c.
   float Count(int64_t r, int64_t t, int64_t c) const;
@@ -98,15 +78,28 @@ class CrimeDataset {
 
   /// Persists as CSV rows (region, day, category, count); loads it back.
   Status SaveCsv(const std::string& path) const;
+
+  /// Largest R·T·C a loaded CSV may describe (2^27 cells, 512 MiB of
+  /// counts; the paper's NYC tensor has 0.75M).
+  static constexpr int64_t kMaxCsvCells = int64_t{1} << 27;
+
+  /// Loads what SaveCsv wrote. Every row must repeat the first row's city
+  /// and grid geometry; numeric fields must parse whole, and counts must be
+  /// finite and >= 0. Errors name the file and the line: InvalidArgument
+  /// for malformed rows, OutOfRange for indices outside the geometry and
+  /// for tensors above kMaxCsvCells.
   static Result<CrimeDataset> LoadCsv(const std::string& path);
 
  private:
-  /// Visits every nonzero cell in ascending (r, t, c) order — the shared
-  /// iteration both storage modes expose, so derived statistics accumulate
-  /// in exactly the same order either way.
-  void ForEachNonzero(
-      const std::function<void(int64_t r, int64_t t, int64_t c, float v)>& fn)
-      const;
+  /// Flat offset of cell (r, t, c) in counts_.
+  size_t Offset(int64_t r, int64_t t, int64_t c) const {
+    return static_cast<size_t>((r * days_ + t) * cats_ + c);
+  }
+
+  /// Days [start, start + length) of every region, as the flat data of an
+  /// (R, length, C) tensor. A plain copy rather than the Narrow op: a
+  /// slice of data needs no autograd node or profiler record.
+  std::vector<float> CopyDays(int64_t start, int64_t length) const;
 
   std::string city_name_;
   int64_t generator_seed_ = -1;
@@ -115,11 +108,7 @@ class CrimeDataset {
   int64_t days_ = 0;
   int64_t cats_ = 0;
   std::vector<std::string> category_names_;
-  /// Dense (R, T, C) storage; in sparse mode this is the lazily
-  /// materialized cache (undefined until counts() is first called).
-  mutable Tensor counts_;
-  sparse::SparseTensor sparse_counts_;  // COO, defined iff sparse_mode_
-  bool sparse_mode_ = false;
+  Tensor counts_;  // (R, T, C)
   int64_t nnz_ = 0;
 };
 

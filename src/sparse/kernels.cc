@@ -68,41 +68,6 @@ void SpmmValueGrad(const int64_t* row_ptr, const int64_t* cols,
       "exec/spmm_vgrad");
 }
 
-void GatherRowsKernel(const float* table, int64_t width, const int64_t* idx,
-                      int64_t count, float* out) {
-  const int64_t grain = std::max<int64_t>(1, (int64_t{1} << 14) /
-                                                 std::max<int64_t>(1, width));
-  exec::ParallelForFixedChunks(
-      0, count, grain,
-      [=](int64_t, int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const float* src = table + idx[i] * width;
-          float* dst = out + i * width;
-          for (int64_t j = 0; j < width; ++j) dst[j] = src[j];
-        }
-      },
-      "exec/gather_rows");
-}
-
-void ScatterAddRowsKernel(const float* g, int64_t width, const int64_t* idx,
-                          int64_t count, float* table_grad) {
-  const int64_t grain = std::max<int64_t>(1, (int64_t{1} << 14) /
-                                                 std::max<int64_t>(1, count));
-  // Column-parallel: each chunk owns a disjoint slice of the feature
-  // dimension, and inside a chunk the duplicate-index accumulation runs in
-  // ascending i — the serial order — at any thread count.
-  exec::ParallelForFixedChunks(
-      0, width, grain,
-      [=](int64_t, int64_t j0, int64_t j1) {
-        for (int64_t i = 0; i < count; ++i) {
-          const float* src = g + i * width;
-          float* dst = table_grad + idx[i] * width;
-          for (int64_t j = j0; j < j1; ++j) dst[j] += src[j];
-        }
-      },
-      "exec/scatter_add_rows");
-}
-
 void GatherFlatKernel(const float* dense, const int64_t* flat, int64_t count,
                       float* out) {
   exec::ParallelForFixedChunks(

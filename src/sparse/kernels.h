@@ -30,18 +30,6 @@ void SpmmValueGrad(const int64_t* row_ptr, const int64_t* cols,
                    const float* g, const float* b, const int64_t* perm,
                    int64_t m, int64_t n, float* dvals);
 
-/// out(count, width): row i copies table[idx[i]]. Parallel over output
-/// rows (disjoint).
-void GatherRowsKernel(const float* table, int64_t width, const int64_t* idx,
-                      int64_t count, float* out);
-
-/// table_grad[idx[i]] += g[i] for i ascending. Parallel over *columns*
-/// (disjoint slices) with a serial ascending-i loop inside, so repeated
-/// indices accumulate in a fixed order at any thread count. `table_grad`
-/// must be zero-filled by the caller.
-void ScatterAddRowsKernel(const float* g, int64_t width, const int64_t* idx,
-                          int64_t count, float* table_grad);
-
 /// out[e] = dense[flat[e]] — coordinate gather. Entry-parallel (disjoint).
 void GatherFlatKernel(const float* dense, const int64_t* flat, int64_t count,
                       float* out);

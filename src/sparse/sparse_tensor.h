@@ -13,12 +13,11 @@ namespace sthsl::sparse {
 ///
 /// Sits between `exec` and `tensor` in the layer DAG: it stores coordinate
 /// structure and raw float values with no dependency on the autograd Tensor
-/// type; the autograd-integrated SpMM / gather ops live in
+/// type; the autograd-integrated SpMM ops live in
 /// src/tensor/sparse_ops.h and include this header. The layout contract:
 ///
 ///  - COO: one sorted, duplicate-free flat row-major index per stored
-///    entry. Works for any rank (the crime dataset stores its (R, T, C)
-///    counts this way).
+///    entry. Works for any rank.
 ///  - CSR: 2-D only; `row_ptr` of size rows+1, column indices sorted
 ///    ascending within each row. The SpMM kernels consume this layout.
 ///

@@ -106,7 +106,6 @@ int64_t BackwardOpFlops(const std::string& op_name,
   const int64_t out_numel = Product(out_shape);
   if (op_name == "matmul") return 4 * MatMulCells(inputs, out_shape);
   if (op_name == "spmm") return 4 * SpmmCells(inputs, out_shape);
-  if (op_name == "gather") return out_numel;
   if (op_name == "conv2d") {
     int64_t flops = 4 * ConvCells(inputs, out_shape);
     // Bias gradient: one add per output cell into the per-channel sums.

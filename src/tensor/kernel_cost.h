@@ -22,7 +22,7 @@
 //   spmm          2·nnz·n                 (multiply + add per stored entry
 //                                          per output column; nnz is the
 //                                          length of the values input)
-//   gather / sparse_values                0 (pure data movement)
+//   sparse_values                         0 (pure data movement)
 //   reshape/permute/narrow/cat/index_select        0 (pure data movement)
 // Backward models (assume every input needs its gradient):
 //   matmul        4·batch·m·k·n           (dA = dC·Bᵀ plus dB = Aᵀ·dC)
@@ -31,7 +31,6 @@
 //   binary elementwise rows   2·numel(out)   (one product per input grad)
 //   unary elementwise rows    2·numel        (gv · df)
 //   spmm          4·nnz·n                 (dvals row-dots plus db scatter)
-//   gather        numel(out) adds         (scatter-add into the table grad)
 //   reductions / movement ops / sparse_values      0
 // Unmodeled op names return 0, never a guess.
 

@@ -124,30 +124,4 @@ Tensor SpMM(const sparse::SparseTensor& pattern, const Tensor& values,
       });
 }
 
-Tensor GatherRows(const Tensor& table, std::vector<int64_t> indices) {
-  STHSL_CHECK(table.Defined() && table.Dim() == 2)
-      << "GatherRows needs a 2-D table";
-  const int64_t num = table.Size(0);
-  const int64_t width = table.Size(1);
-  for (int64_t idx : indices) {
-    STHSL_CHECK(idx >= 0 && idx < num) << "GatherRows index out of range";
-  }
-  const int64_t count = static_cast<int64_t>(indices.size());
-  auto idx = std::make_shared<const std::vector<int64_t>>(std::move(indices));
-  std::vector<float> out(static_cast<size_t>(count * width));
-  sparse::GatherRowsKernel(table.Data().data(), width, idx->data(), count,
-                           out.data());
-  Tensor table_captured = table;
-  return MakeResult(
-      {count, width}, std::move(out), "gather", {table},
-      [table_captured, idx, count, width](const Tensor& g)
-          -> std::vector<Tensor> {
-        std::vector<float> dt(
-            static_cast<size_t>(table_captured.Numel()), 0.0f);
-        sparse::ScatterAddRowsKernel(g.Data().data(), width, idx->data(),
-                                     count, dt.data());
-        return {Tensor::FromVector(table_captured.Shape(), std::move(dt))};
-      });
-}
-
 }  // namespace sthsl

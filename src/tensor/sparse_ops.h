@@ -1,9 +1,6 @@
 #ifndef STHSL_TENSOR_SPARSE_OPS_H_
 #define STHSL_TENSOR_SPARSE_OPS_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "sparse/sparse_tensor.h"
 #include "tensor/tensor.h"
 
@@ -44,11 +41,6 @@ Tensor SparseValues(const Tensor& dense, const sparse::SparseTensor& pattern);
 /// Op name: "spmm" (nnz-aware cost model in tensor/kernel_cost.cc).
 Tensor SpMM(const sparse::SparseTensor& pattern, const Tensor& values,
             const Tensor& b, bool transpose_a = false);
-
-/// Sparse embedding lookup: out(count, width) with row i = table[idx[i]].
-/// The backward scatter-adds into the table gradient with a fixed
-/// accumulation order for repeated indices. Op name: "gather".
-Tensor GatherRows(const Tensor& table, std::vector<int64_t> indices);
 
 }  // namespace sthsl
 

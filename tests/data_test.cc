@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <numeric>
 #include <string>
 
@@ -136,6 +137,118 @@ TEST(CrimeDatasetTest, LoadMissingFileFails) {
   auto result = CrimeDataset::LoadCsv("/tmp/does_not_exist_sthsl.csv");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kIoError);
+}
+
+// Writes a crime CSV with SaveCsv's header and `rows` as its body, loads
+// it, and returns the load status.
+Status LoadCsvBody(const std::string& rows) {
+  const std::string path = "/tmp/sthsl_test_malformed.csv";
+  {
+    std::ofstream file(path);
+    file << "city,rows,cols,region,day,category,category_name,count\n"
+         << rows;
+  }
+  Status status = CrimeDataset::LoadCsv(path).status();
+  std::remove(path.c_str());
+  return status;
+}
+
+void ExpectRejected(const std::string& rows, Status::Code code,
+                    const std::string& message) {
+  const Status status = LoadCsvBody(rows);
+  ASSERT_FALSE(status.ok()) << rows;
+  EXPECT_EQ(status.code(), code) << status.ToString();
+  EXPECT_NE(status.message().find("sthsl_test_malformed.csv"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find(message), std::string::npos)
+      << status.ToString();
+}
+
+TEST(CrimeDatasetTest, LoadCsvAcceptsWellFormedRows) {
+  EXPECT_TRUE(LoadCsvBody("c,2,1,1,3,1,B,0\nc,2,1,0,0,0,A,2\n").ok());
+}
+
+TEST(CrimeDatasetTest, LoadCsvRejectsNonFiniteOrNegativeCounts) {
+  for (const char* count : {"nan", "inf", "-inf", "-5", "1e40"}) {
+    ExpectRejected(std::string("c,2,1,0,0,0,A,") + count + "\n",
+                   Status::Code::kInvalidArgument, "line 2: count");
+  }
+}
+
+TEST(CrimeDatasetTest, LoadCsvRejectsGarbageFields) {
+  const Status::Code bad = Status::Code::kInvalidArgument;
+  ExpectRejected("c,2,1,0,0,0,A,3x\n", bad, "line 2: count '3x'");
+  ExpectRejected("c,2,1,0,0,0,A,\n", bad, "line 2: count ''");
+  ExpectRejected("c,2,1,0,0,0,A,1\nc,2,1,zero,0,0,A,1\n", bad,
+                 "line 3: region, day and category must be integers");
+  ExpectRejected("c,2,1,0, 1,0,A,1\n", bad, "line 2: region, day");
+  ExpectRejected("c,two,1,0,0,0,A,1\n", bad, "line 2: rows and cols");
+  ExpectRejected("c,0,1,0,0,0,A,1\n", bad, "line 2: rows and cols");
+  ExpectRejected("c,2,1,0,0,0,A,1\n\n", bad, "line 3: expected 8 fields");
+}
+
+TEST(CrimeDatasetTest, LoadCsvRejectsRowsThatChangeCityOrGeometry) {
+  const Status::Code bad = Status::Code::kInvalidArgument;
+  ExpectRejected("c,2,1,0,0,0,A,1\nc,1,2,0,1,0,A,1\n", bad,
+                 "line 3: city and geometry 'c,1,2'");
+  ExpectRejected("c,2,1,0,0,0,A,1\nc,2,1,1,0,0,A,1\nd,2,1,0,1,0,A,1\n",
+                 bad, "line 4: city and geometry 'd,2,1'");
+}
+
+TEST(CrimeDatasetTest, LoadCsvRejectsIndicesOutsideTheGrid) {
+  const Status::Code range = Status::Code::kOutOfRange;
+  ExpectRejected("c,2,1,2,0,0,A,1\n", range, "line 2: region 2");
+  ExpectRejected("c,2,1,0,0,0,A,1\nc,2,1,-1,0,0,A,1\n", range,
+                 "line 3: region -1");
+  ExpectRejected("c,2,1,0,-1,0,A,1\n", range, "line 2: day -1");
+  ExpectRejected("c,2,1,0,0,9223372036854775807,A,1\n", range,
+                 "line 2: day 0 or category 9223372036854775807");
+}
+
+TEST(CrimeDatasetTest, LoadCsvRejectsTensorsAboveTheCellCap) {
+  const Status::Code range = Status::Code::kOutOfRange;
+  // Unchecked, each of these would reach a multi-terabyte allocation or an
+  // int64 overflow.
+  ExpectRejected("c,4000000,4000000,0,0,0,A,1\n", range,
+                 "line 2: a 4000000x4000000 grid exceeds the cap");
+  ExpectRejected("c,9223372036854775807,3,0,0,0,A,1\n", range,
+                 "line 2: a 9223372036854775807x3 grid");
+  ExpectRejected("c,256,1,0,100000000,3,A,1\n", range,
+                 "256 regions x 100000001 days x 4 categories exceeds");
+  // Just at the cap by days alone: R = 1, T = cap, C = 2 is over it.
+  ExpectRejected("c,1,1,0," + std::to_string(CrimeDataset::kMaxCsvCells - 1) +
+                     ",1,A,1\n",
+                 range, "categories exceeds the cap");
+}
+
+TEST(CrimeDatasetTest, WindowStatsMatchManualCount) {
+  CrimeGenConfig gen;
+  gen.rows = 4;
+  gen.cols = 4;
+  gen.days = 64;
+  gen.num_zones = 3;
+  gen.category_totals = {300, 700, 350, 400};
+  gen.seed = 77;
+  CrimeDataset data = GenerateCrimeData(gen);
+  const int64_t window = 7;
+  const int64_t t_end = 30;
+  int64_t expected = 0;
+  for (int64_t r = 0; r < data.num_regions(); ++r) {
+    for (int64_t t = t_end - window; t < t_end; ++t) {
+      for (int64_t c = 0; c < data.num_categories(); ++c) {
+        expected += data.Count(r, t, c) != 0.0f ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(data.WindowNnz(t_end, window), expected);
+
+  const WindowDensitySummary summary = SummarizeWindowDensity(data, window);
+  EXPECT_EQ(summary.num_windows, data.num_days() - window + 1);
+  EXPECT_LE(summary.min_nnz, expected);
+  EXPECT_GE(summary.max_nnz, expected);
+  EXPECT_GT(summary.mean_density, 0.0);
+  EXPECT_LE(summary.mean_density, 1.0);
 }
 
 // -- Generator statistical properties --------------------------------------------

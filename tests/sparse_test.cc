@@ -1,10 +1,9 @@
 // Tests for the sparse subsystem: COO/CSR layout round-trips and
-// validation, SpMM / gather autograd against the dense reference (exact
-// equality, per the bitwise-parity contract of docs/sparse.md), thread-count
-// invariance, the dataset's sparse storage mode, and dense-vs-sparse
-// training equivalence down to checkpoint bytes.
+// validation, SpMM autograd against the dense reference (exact equality,
+// per the bitwise-parity contract of docs/sparse.md), thread-count
+// invariance, and dense-vs-sparse training equivalence down to checkpoint
+// bytes.
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,11 +13,11 @@
 
 #include "core/sthsl_model.h"
 #include "data/generator.h"
-#include "data/stats.h"
 #include "exec/exec.h"
 #include "nn/serialization.h"
 #include "sparse/sparse_tensor.h"
 #include "tensor/ops.h"
+#include "tensor/optimizer.h"
 #include "tensor/sparse_ops.h"
 #include "util/obs/obs.h"
 #include "util/rng.h"
@@ -37,30 +36,6 @@ class ThreadCountGuard {
 
  private:
   int previous_;
-};
-
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
 };
 
 std::string ReadFileBytes(const std::string& path) {
@@ -236,40 +211,6 @@ TEST(SparseOpsTest, SpmmMatchesDenseReferenceBitwise) {
   }
 }
 
-TEST(SparseOpsTest, GatherRowsMatchesManualReference) {
-  Rng rng(36);
-  const int64_t num = 10;
-  const int64_t width = 6;
-  Tensor table =
-      Tensor::FromVector({num, width}, RandomSparseData(rng, 60, 1.0), true);
-  // Duplicates on purpose: the scatter-add order must be deterministic.
-  const std::vector<int64_t> indices = {3, 0, 3, 9, 3, 0};
-  Tensor out = GatherRows(table, indices);
-  ASSERT_EQ(out.Shape(),
-            (std::vector<int64_t>{static_cast<int64_t>(indices.size()),
-                                  width}));
-  for (size_t i = 0; i < indices.size(); ++i) {
-    for (int64_t j = 0; j < width; ++j) {
-      EXPECT_EQ(out.At({static_cast<int64_t>(i), j}),
-                table.At({indices[i], j}));
-    }
-  }
-
-  Tensor seed = Tensor::Rand(
-      {static_cast<int64_t>(indices.size()), width}, rng, -1.0f, 1.0f);
-  out.Backward(seed);
-  // Reference accumulation in ascending gather-row order — exactly the
-  // kernel's contract.
-  std::vector<float> expected(static_cast<size_t>(num * width), 0.0f);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    for (int64_t j = 0; j < width; ++j) {
-      expected[static_cast<size_t>(indices[i] * width + j)] +=
-          seed.At({static_cast<int64_t>(i), j});
-    }
-  }
-  EXPECT_EQ(table.Grad(), expected);
-}
-
 TEST(SparseOpsTest, SparseValuesRoundTripsAndScattersGrad) {
   Rng rng(37);
   const std::vector<float> data = RandomSparseData(rng, 48, 0.3);
@@ -304,7 +245,6 @@ TEST(SparseOpsTest, BitwiseIdenticalAcrossThreadCounts) {
   const std::vector<float> a_data = RandomSparseData(rng, m * k, 0.15);
   const std::vector<float> b_data = RandomSparseData(rng, k * n, 1.0);
   const std::vector<float> seed_data = RandomSparseData(rng, m * n, 1.0);
-  const std::vector<int64_t> indices = {11, 2, 11, 36, 0, 7, 11};
 
   auto run = [&](int threads) {
     exec::SetThreadCount(threads);
@@ -315,15 +255,10 @@ TEST(SparseOpsTest, BitwiseIdenticalAcrossThreadCounts) {
     Tensor out = SpMM(csr, values, b);
     out.Backward(Tensor::FromVector({m, n}, seed_data));
 
-    Tensor table = Tensor::FromVector({m, k}, a_data, true);
-    Tensor gathered = GatherRows(table, indices);
-    gathered.Backward(Tensor::Full(gathered.Shape(), 0.5f));
-
     struct Snapshot {
-      std::vector<float> out, da, db, gathered, dtable;
+      std::vector<float> out, da, db;
     };
-    return Snapshot{out.Data(), a.Grad(), b.Grad(), gathered.Data(),
-                    table.Grad()};
+    return Snapshot{out.Data(), a.Grad(), b.Grad()};
   };
 
   const auto one = run(1);
@@ -332,94 +267,21 @@ TEST(SparseOpsTest, BitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(one.out, multi.out) << threads << " threads";
     EXPECT_EQ(one.da, multi.da) << threads << " threads";
     EXPECT_EQ(one.db, multi.db) << threads << " threads";
-    EXPECT_EQ(one.gathered, multi.gathered) << threads << " threads";
-    EXPECT_EQ(one.dtable, multi.dtable) << threads << " threads";
   }
 }
 
-// -------------------------------------------------------------- dataset --
+// -------------------------------------------------------------- training --
 
-CrimeDataset SparseTestCity(int64_t days = 64) {
+CrimeDataset SparseTestCity() {
   CrimeGenConfig gen;
   gen.rows = 4;
   gen.cols = 4;
-  gen.days = days;
+  gen.days = 64;
   gen.num_zones = 3;
   gen.category_totals = {300, 700, 350, 400};
   gen.seed = 77;
   return GenerateCrimeData(gen);
 }
-
-TEST(SparseDatasetTest, SparseStorageMatchesDenseExactly) {
-  // Same underlying tensor, both storage modes.
-  EnvGuard dense_env("STHSL_DATA_SPARSE_THRESHOLD", "0");
-  CrimeDataset dense = SparseTestCity();
-  ASSERT_FALSE(dense.sparse_storage());
-  CrimeDataset sparse = [&] {
-    EnvGuard sparse_env("STHSL_DATA_SPARSE_THRESHOLD", "1");
-    return SparseTestCity();
-  }();
-  ASSERT_TRUE(sparse.sparse_storage());
-
-  EXPECT_EQ(dense.Nnz(), sparse.Nnz());
-  EXPECT_EQ(dense.Density(), sparse.Density());
-  for (int64_t c = 0; c < dense.num_categories(); ++c) {
-    EXPECT_EQ(dense.CategoryTotal(c), sparse.CategoryTotal(c)) << c;
-  }
-  for (int64_t r = 0; r < dense.num_regions(); ++r) {
-    EXPECT_EQ(dense.DensityDegree(r), sparse.DensityDegree(r)) << r;
-  }
-  float mean_d, std_d, mean_s, std_s;
-  dense.ComputeMoments(&mean_d, &std_d);
-  sparse.ComputeMoments(&mean_s, &std_s);
-  EXPECT_EQ(mean_d, mean_s);
-  EXPECT_EQ(std_d, std_s);
-  EXPECT_EQ(dense.WindowInput(20, 7).Data(), sparse.WindowInput(20, 7).Data());
-  EXPECT_EQ(dense.TargetDay(33).Data(), sparse.TargetDay(33).Data());
-  for (int64_t r = 0; r < dense.num_regions(); ++r) {
-    for (int64_t c = 0; c < dense.num_categories(); ++c) {
-      EXPECT_EQ(dense.Count(r, 12, c), sparse.Count(r, 12, c));
-    }
-  }
-  // Slicing re-engages the mode decision but never changes values.
-  CrimeDataset dslice = dense.SliceDays(10, 30);
-  CrimeDataset sslice = sparse.SliceDays(10, 30);
-  EXPECT_EQ(dslice.counts().Data(), sslice.counts().Data());
-  // CSV bytes are independent of the storage mode.
-  ASSERT_TRUE(dense.SaveCsv("/tmp/sparse_test_dense.csv").ok());
-  ASSERT_TRUE(sparse.SaveCsv("/tmp/sparse_test_sparse.csv").ok());
-  EXPECT_EQ(ReadFileBytes("/tmp/sparse_test_dense.csv"),
-            ReadFileBytes("/tmp/sparse_test_sparse.csv"));
-  // The lazy dense materialization is value-identical too.
-  EXPECT_EQ(dense.counts().Data(), sparse.counts().Data());
-}
-
-TEST(SparseDatasetTest, WindowStatsMatchManualCount) {
-  CrimeDataset data = SparseTestCity();
-  const int64_t window = 7;
-  const int64_t t_end = 30;
-  int64_t expected = 0;
-  for (int64_t r = 0; r < data.num_regions(); ++r) {
-    for (int64_t t = t_end - window; t < t_end; ++t) {
-      for (int64_t c = 0; c < data.num_categories(); ++c) {
-        expected += data.Count(r, t, c) != 0.0f ? 1 : 0;
-      }
-    }
-  }
-  EXPECT_EQ(data.WindowNnz(t_end, window), expected);
-  const double cells = static_cast<double>(
-      data.num_regions() * window * data.num_categories());
-  EXPECT_DOUBLE_EQ(data.WindowDensity(t_end, window), expected / cells);
-
-  const WindowDensitySummary summary = SummarizeWindowDensity(data, window);
-  EXPECT_EQ(summary.num_windows, data.num_days() - window + 1);
-  EXPECT_LE(summary.min_nnz, expected);
-  EXPECT_GE(summary.max_nnz, expected);
-  EXPECT_GT(summary.mean_density, 0.0);
-  EXPECT_LE(summary.mean_density, 1.0);
-}
-
-// -------------------------------------------------------------- training --
 
 SthslConfig SparseTrainConfig() {
   SthslConfig config;
@@ -428,70 +290,102 @@ SthslConfig SparseTrainConfig() {
   config.kernel_size = 3;
   config.global_temporal_layers = 2;
   config.train.window = 7;
-  config.train.epochs = 2;
-  config.train.max_steps_per_epoch = 4;
   config.train.seed = 11;
+  // Infomax propagates twice per step. The CSR path sums each call's
+  // hypergraph gradient before adding it to the parameter's, while a dense
+  // parameter takes all four contributions one by one; float addition is
+  // not associative, so only the one-call graph has bitwise parity.
+  config.use_infomax = false;
   return config;
 }
 
-// The whole point of the dataset sparse mode: training consumes windows,
-// targets and moments only, and all of them are exact, so the trajectory is
-// identical whichever way the tensor is stored.
-TEST(SparseTrainingTest, TrajectoryIdenticalAcrossDatasetStorageModes) {
-  SthslConfig config = SparseTrainConfig();
-  Tensor pred_dense, pred_sparse;
-  {
-    EnvGuard env("STHSL_DATA_SPARSE_THRESHOLD", "0");
-    CrimeDataset data = SparseTestCity();
-    ASSERT_FALSE(data.sparse_storage());
-    SthslForecaster model(config);
-    model.Fit(data, 50);
-    pred_dense = model.PredictDay(data, 55);
+
+// Trains `net` on `steps` consecutive windows with the Eq. 10 objective:
+// forward, loss, Backward, Adam. When `hypergraph_mask` is non-empty it
+// multiplies the hypergraph gradient before each step — the fixed-pattern
+// contract applied by hand to a dense parameter.
+void TrainSteps(SthslNet& net, const CrimeDataset& data, int64_t steps,
+                const std::vector<float>& hypergraph_mask) {
+  const SthslConfig& config = net.config();
+  Adam adam(net.Parameters(), config.train.lr, 0.9f, 0.999f, 1e-8f,
+            config.train.weight_decay);
+  net.SetTraining(true);
+  const int64_t window = config.train.window;
+  for (int64_t t = window; t < window + steps; ++t) {
+    adam.ZeroGrad();
+    SthslNet::Output out =
+        net.Forward(data.WindowInput(t, window), /*training=*/true);
+    Tensor loss = MseLoss(out.prediction, data.TargetDay(t));
+    if (out.infomax_loss.Defined()) {
+      loss = Add(loss, MulScalar(out.infomax_loss, config.lambda1));
+    }
+    loss = Add(loss, MulScalar(out.contrastive_loss, config.lambda2));
+    loss.Backward();
+    if (!hypergraph_mask.empty()) {
+      Tensor h = net.hyperedge_weights();
+      std::vector<float>& grad = h.MutableGrad();
+      for (size_t i = 0; i < grad.size(); ++i) grad[i] *= hypergraph_mask[i];
+    }
+    adam.Step();
   }
-  {
-    EnvGuard env("STHSL_DATA_SPARSE_THRESHOLD", "1");
-    CrimeDataset data = SparseTestCity();
-    ASSERT_TRUE(data.sparse_storage());
-    SthslForecaster model(config);
-    model.Fit(data, 50);
-    pred_sparse = model.PredictDay(data, 55);
-  }
-  EXPECT_EQ(pred_dense.Data(), pred_sparse.Data());
+  net.SetTraining(false);
 }
 
-// Dense/sparse dispatch parity at the hypergraph site, asserted down to
-// checkpoint bytes: the same sparse incidence pattern trained through the
-// CSR SpMM path and through the masked-dense GEMM path must produce
-// byte-identical checkpoints.
+// Dense/sparse parity at the hypergraph site, asserted down to checkpoint
+// bytes: a density-0.2 incidence trained through the model's CSR SpMM path
+// must match the same parameters trained as a dense (density 1) network
+// whose hypergraph gradient is masked to the pattern before every step.
 TEST(SparseTrainingTest, SparseAndMaskedDensePathsProduceIdenticalCheckpoints) {
   CrimeDataset data = SparseTestCity();
+  float mean;
+  float stddev;
+  data.SliceDays(0, 50).ComputeMoments(&mean, &stddev);
   SthslConfig sparse_cfg = SparseTrainConfig();
   sparse_cfg.hypergraph_density = 0.2f;
-  sparse_cfg.sparse_threshold = 1.0f;  // always take the SpMM path
-  SthslConfig masked_cfg = sparse_cfg;
-  masked_cfg.sparse_threshold = 0.0f;  // always take the masked-dense path
+  SthslConfig dense_cfg = sparse_cfg;
+  dense_cfg.hypergraph_density = 1.0f;
 
-  SthslForecaster sparse_model(sparse_cfg);
-  SthslForecaster masked_model(masked_cfg);
-  sparse_model.Fit(data, 50);
-  masked_model.Fit(data, 50);
+  // Equal seeds give equal dropout and corruption generators (both fork
+  // before the incidence is drawn); the parameters are copied over.
+  Rng sparse_rng(sparse_cfg.train.seed);
+  Rng dense_rng(sparse_cfg.train.seed);
+  SthslNet sparse_net(sparse_cfg, data.rows(), data.cols(),
+                      data.num_categories(), mean, stddev, sparse_rng);
+  SthslNet dense_net(dense_cfg, data.rows(), data.cols(),
+                     data.num_categories(), mean, stddev, dense_rng);
+  const std::vector<Tensor> from = sparse_net.Parameters();
+  std::vector<Tensor> to = dense_net.MutableParameters();
+  ASSERT_EQ(from.size(), to.size());
+  for (size_t i = 0; i < from.size(); ++i) to[i].MutableData() = from[i].Data();
 
-  ASSERT_TRUE(
-      SaveCheckpoint(*sparse_model.net(), "/tmp/sparse_path_ckpt.bin").ok());
-  ASSERT_TRUE(
-      SaveCheckpoint(*masked_model.net(), "/tmp/masked_path_ckpt.bin").ok());
+  std::vector<float> mask;
+  for (float v : sparse_net.hyperedge_weights().Data()) {
+    mask.push_back(v != 0.0f ? 1.0f : 0.0f);
+  }
+  TrainSteps(sparse_net, data, 8, {});
+  TrainSteps(dense_net, data, 8, mask);
+
+  ASSERT_TRUE(SaveCheckpoint(sparse_net, "/tmp/sparse_path_ckpt.bin").ok());
+  ASSERT_TRUE(SaveCheckpoint(dense_net, "/tmp/masked_path_ckpt.bin").ok());
   const std::string sparse_bytes = ReadFileBytes("/tmp/sparse_path_ckpt.bin");
   ASSERT_FALSE(sparse_bytes.empty());
-  EXPECT_EQ(sparse_bytes, ReadFileBytes("/tmp/masked_path_ckpt.bin"));
+  EXPECT_TRUE(sparse_bytes == ReadFileBytes("/tmp/masked_path_ckpt.bin"))
+      << "checkpoint bytes differ";
 
   // Fixed-pattern contract: the zero coordinates never came back to life.
-  Tensor h = sparse_model.net()->hyperedge_weights();
+  const std::vector<float>& h = sparse_net.hyperedge_weights().Data();
   int64_t zeros = 0;
-  for (float v : h.Data()) zeros += v == 0.0f ? 1 : 0;
-  EXPECT_GT(zeros, h.Numel() / 2);  // density 0.2 keeps most entries zero
+  for (size_t i = 0; i < h.size(); ++i) {
+    if (mask[i] == 0.0f) {
+      EXPECT_EQ(h[i], 0.0f) << "pruned coordinate " << i << " trained";
+      ++zeros;
+    }
+  }
+  EXPECT_GT(zeros, static_cast<int64_t>(h.size()) / 2);
   // And the predictions agree bitwise as well.
-  EXPECT_EQ(sparse_model.PredictDay(data, 55).Data(),
-            masked_model.PredictDay(data, 55).Data());
+  Tensor window = data.WindowInput(55, sparse_cfg.train.window);
+  EXPECT_EQ(sparse_net.Forward(window, /*training=*/false).prediction.Data(),
+            dense_net.Forward(window, /*training=*/false).prediction.Data());
 }
 
 }  // namespace

@@ -72,8 +72,8 @@ int Usage() {
       "           ending at day T (default: end of file) through the\n"
       "           bundled model, print per-region/category forecasts\n"
       "  stats    --data FILE [--verbose 1] [--window N]\n"
-      "           --verbose 1 adds storage mode, tensor nnz/density and a\n"
-      "           per-window (default len 14) sparsity summary\n"
+      "           --verbose 1 adds tensor nnz/density and a per-window\n"
+      "           (default len 14) sparsity summary\n"
       "  calibrate [--force 1] [--budget-ms N]\n"
       "           measure this machine's single-thread FMA GFLOP/s and\n"
       "           stream-triad GB/s for the roofline reporter; results are\n"
@@ -434,8 +434,7 @@ int CmdStats(const Args& args) {
   if (args.GetInt("verbose", 0) != 0) {
     // Sparsity of the tensor the model actually consumes: global fill plus
     // per-window nnz/density over every training-window-sized slice.
-    std::printf("  storage: %s  nnz %lld / %lld cells  density %.4f\n",
-                data.sparse_storage() ? "sparse (COO)" : "dense",
+    std::printf("  nnz %lld / %lld cells  density %.4f\n",
                 static_cast<long long>(data.Nnz()),
                 static_cast<long long>(data.num_regions() * data.num_days() *
                                        data.num_categories()),

@@ -1106,7 +1106,7 @@ constexpr const char kGoodRoofline[] =
     R"("flops":1000000,"bytes":2000000,"us":1000,"intensity":0.5,)"
     R"("achieved_gflops":1,"achieved_gbps":2,"roof_gflops":2.5,)"
     R"("pct_of_roof":40,"bound":"memory","counters":null},)"
-    R"({"name":"gather.bwd","calls":3,"flops":131072,)"
+    R"({"name":"spmm.bwd","calls":3,"flops":131072,)"
     R"("bytes":1048576,"us":500,"intensity":0.125,)"
     R"("achieved_gflops":0.262144,"achieved_gbps":2.097152,)"
     R"("roof_gflops":0.625,"pct_of_roof":41.9,"bound":"memory",)"
@@ -1390,7 +1390,7 @@ int SelfTest() {
              std::fabs(roofline.compute_roof_gflops - 40.0) < 1e-12,
          "roofline peaks extracted");
   expect(roofline.ops.size() == 4 && roofline.ops[2].name == "spmm" &&
-             roofline.ops[3].name == "gather.bwd" &&
+             roofline.ops[3].name == "spmm.bwd" &&
              std::fabs(roofline.ops[2].intensity - 0.5) < 1e-12,
          "sparse-kernel roofline rows extracted");
   expect(roofline.ops.size() == 4 && roofline.ops[0].has_counters &&
