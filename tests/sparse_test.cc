@@ -1,10 +1,12 @@
 // Tests for the sparse subsystem: COO/CSR layout round-trips and
 // validation, SpMM autograd against the dense reference (exact equality,
 // per the bitwise-parity contract of docs/sparse.md), thread-count
-// invariance, and dense-vs-sparse training equivalence down to checkpoint
-// bytes.
+// invariance, and dense-vs-sparse training equivalence: down to checkpoint
+// bytes for the one-propagation graph, to a tolerance with infomax on, and
+// a fixed hypergraph pattern through SthslForecaster::Fit.
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -290,15 +292,12 @@ SthslConfig SparseTrainConfig() {
   config.kernel_size = 3;
   config.global_temporal_layers = 2;
   config.train.window = 7;
+  config.train.epochs = 2;
+  config.train.max_steps_per_epoch = 4;
   config.train.seed = 11;
-  // Infomax propagates twice per step. The CSR path sums each call's
-  // hypergraph gradient before adding it to the parameter's, while a dense
-  // parameter takes all four contributions one by one; float addition is
-  // not associative, so only the one-call graph has bitwise parity.
-  config.use_infomax = false;
+  config.hypergraph_density = 0.2f;
   return config;
 }
-
 
 // Trains `net` on `steps` consecutive windows with the Eq. 10 objective:
 // forward, loss, Backward, Adam. When `hypergraph_mask` is non-empty it
@@ -331,49 +330,56 @@ void TrainSteps(SthslNet& net, const CrimeDataset& data, int64_t steps,
   net.SetTraining(false);
 }
 
-// Dense/sparse parity at the hypergraph site, asserted down to checkpoint
-// bytes: a density-0.2 incidence trained through the model's CSR SpMM path
-// must match the same parameters trained as a dense (density 1) network
-// whose hypergraph gradient is masked to the pattern before every step.
-TEST(SparseTrainingTest, SparseAndMaskedDensePathsProduceIdenticalCheckpoints) {
-  CrimeDataset data = SparseTestCity();
+// A network at `config`'s hypergraph density (< 1, so its incidence runs
+// CSR SpMM), a density-1 reference holding a copy of its parameters, and
+// the 0/1 pattern of its incidence. Equal seeds give equal dropout and
+// corruption generators (both fork before the incidence is drawn); the
+// sparse net is built exactly as SthslForecaster::Prepare builds it.
+struct NetPair {
+  std::unique_ptr<SthslNet> sparse;
+  std::unique_ptr<SthslNet> dense;
+  std::vector<float> mask;
+};
+
+NetPair MakeNetPair(const SthslConfig& config, const CrimeDataset& data,
+                    int64_t train_end) {
   float mean;
   float stddev;
-  data.SliceDays(0, 50).ComputeMoments(&mean, &stddev);
-  SthslConfig sparse_cfg = SparseTrainConfig();
-  sparse_cfg.hypergraph_density = 0.2f;
-  SthslConfig dense_cfg = sparse_cfg;
+  data.SliceDays(0, train_end).ComputeMoments(&mean, &stddev);
+  SthslConfig dense_cfg = config;
   dense_cfg.hypergraph_density = 1.0f;
-
-  // Equal seeds give equal dropout and corruption generators (both fork
-  // before the incidence is drawn); the parameters are copied over.
-  Rng sparse_rng(sparse_cfg.train.seed);
-  Rng dense_rng(sparse_cfg.train.seed);
-  SthslNet sparse_net(sparse_cfg, data.rows(), data.cols(),
-                      data.num_categories(), mean, stddev, sparse_rng);
-  SthslNet dense_net(dense_cfg, data.rows(), data.cols(),
-                     data.num_categories(), mean, stddev, dense_rng);
-  const std::vector<Tensor> from = sparse_net.Parameters();
-  std::vector<Tensor> to = dense_net.MutableParameters();
-  ASSERT_EQ(from.size(), to.size());
-  for (size_t i = 0; i < from.size(); ++i) to[i].MutableData() = from[i].Data();
-
-  std::vector<float> mask;
-  for (float v : sparse_net.hyperedge_weights().Data()) {
-    mask.push_back(v != 0.0f ? 1.0f : 0.0f);
+  Rng sparse_rng(config.train.seed);
+  Rng dense_rng(config.train.seed);
+  NetPair pair;
+  pair.sparse = std::make_unique<SthslNet>(config, data.rows(), data.cols(),
+                                           data.num_categories(), mean,
+                                           stddev, sparse_rng);
+  pair.dense = std::make_unique<SthslNet>(dense_cfg, data.rows(), data.cols(),
+                                          data.num_categories(), mean, stddev,
+                                          dense_rng);
+  const std::vector<Tensor> from = pair.sparse->Parameters();
+  std::vector<Tensor> to = pair.dense->MutableParameters();
+  EXPECT_EQ(from.size(), to.size());
+  for (size_t i = 0; i < from.size() && i < to.size(); ++i) {
+    to[i].MutableData() = from[i].Data();
   }
-  TrainSteps(sparse_net, data, 8, {});
-  TrainSteps(dense_net, data, 8, mask);
+  for (float v : pair.sparse->hyperedge_weights().Data()) {
+    pair.mask.push_back(v != 0.0f ? 1.0f : 0.0f);
+  }
+  return pair;
+}
 
-  ASSERT_TRUE(SaveCheckpoint(sparse_net, "/tmp/sparse_path_ckpt.bin").ok());
-  ASSERT_TRUE(SaveCheckpoint(dense_net, "/tmp/masked_path_ckpt.bin").ok());
-  const std::string sparse_bytes = ReadFileBytes("/tmp/sparse_path_ckpt.bin");
-  ASSERT_FALSE(sparse_bytes.empty());
-  EXPECT_TRUE(sparse_bytes == ReadFileBytes("/tmp/masked_path_ckpt.bin"))
-      << "checkpoint bytes differ";
+// Absolute tolerance between CSR-trained and masked-dense-trained values
+// whose gradients were summed in different orders. Eight Adam steps at the
+// default lr move a parameter by up to 4e-2; the two paths differ by 3e-8.
+constexpr float kTrackTolerance = 1e-5f;
 
-  // Fixed-pattern contract: the zero coordinates never came back to life.
-  const std::vector<float>& h = sparse_net.hyperedge_weights().Data();
+// Fixed-pattern contract: every coordinate outside `mask` is still exactly
+// zero, and the pattern prunes most of the incidence.
+void ExpectPrunedCoordinatesZero(const Tensor& hypergraph,
+                                 const std::vector<float>& mask) {
+  const std::vector<float>& h = hypergraph.Data();
+  ASSERT_EQ(h.size(), mask.size());
   int64_t zeros = 0;
   for (size_t i = 0; i < h.size(); ++i) {
     if (mask[i] == 0.0f) {
@@ -382,10 +388,92 @@ TEST(SparseTrainingTest, SparseAndMaskedDensePathsProduceIdenticalCheckpoints) {
     }
   }
   EXPECT_GT(zeros, static_cast<int64_t>(h.size()) / 2);
+}
+
+// Dense/sparse parity at the hypergraph site, asserted down to checkpoint
+// bytes: a density-0.2 incidence trained through the model's CSR SpMM path
+// must match the same parameters trained as a dense (density 1) network
+// whose hypergraph gradient is masked to the pattern before every step.
+// Infomax is off: it propagates twice per step, and the CSR path sums each
+// call's hypergraph gradient before adding it to the parameter's while a
+// dense parameter takes all four contributions one by one. Float addition
+// is not associative, so only the one-call graph has bitwise parity; the
+// default graph is checked to a tolerance below.
+TEST(SparseTrainingTest, SparseAndMaskedDensePathsProduceIdenticalCheckpoints) {
+  CrimeDataset data = SparseTestCity();
+  SthslConfig config = SparseTrainConfig();
+  config.use_infomax = false;
+  NetPair pair = MakeNetPair(config, data, 50);
+  TrainSteps(*pair.sparse, data, 8, {});
+  TrainSteps(*pair.dense, data, 8, pair.mask);
+
+  ASSERT_TRUE(SaveCheckpoint(*pair.sparse, "/tmp/sparse_path_ckpt.bin").ok());
+  ASSERT_TRUE(SaveCheckpoint(*pair.dense, "/tmp/masked_path_ckpt.bin").ok());
+  const std::string sparse_bytes = ReadFileBytes("/tmp/sparse_path_ckpt.bin");
+  ASSERT_FALSE(sparse_bytes.empty());
+  EXPECT_TRUE(sparse_bytes == ReadFileBytes("/tmp/masked_path_ckpt.bin"))
+      << "checkpoint bytes differ";
+
+  ExpectPrunedCoordinatesZero(pair.sparse->hyperedge_weights(), pair.mask);
   // And the predictions agree bitwise as well.
-  Tensor window = data.WindowInput(55, sparse_cfg.train.window);
-  EXPECT_EQ(sparse_net.Forward(window, /*training=*/false).prediction.Data(),
-            dense_net.Forward(window, /*training=*/false).prediction.Data());
+  Tensor window = data.WindowInput(55, config.train.window);
+  EXPECT_EQ(pair.sparse->Forward(window, /*training=*/false).prediction.Data(),
+            pair.dense->Forward(window, /*training=*/false).prediction.Data());
+}
+
+// The default training graph (infomax on) propagates through the incidence
+// twice per step: once for the real view and once for the corrupted one.
+// Each propagation must keep the pattern fixed, and the trained values must
+// track the gradient-masked dense reference up to summation order.
+TEST(SparseTrainingTest, InfomaxTrainingKeepsPatternAndTracksMaskedDense) {
+  CrimeDataset data = SparseTestCity();
+  const SthslConfig config = SparseTrainConfig();
+  ASSERT_TRUE(config.use_infomax);
+  NetPair pair = MakeNetPair(config, data, 50);
+  TrainSteps(*pair.sparse, data, 8, {});
+  TrainSteps(*pair.dense, data, 8, pair.mask);
+
+  ExpectPrunedCoordinatesZero(pair.sparse->hyperedge_weights(), pair.mask);
+  const auto named_sparse = pair.sparse->NamedParameters();
+  const auto named_dense = pair.dense->NamedParameters();
+  ASSERT_EQ(named_sparse.size(), named_dense.size());
+  for (size_t i = 0; i < named_sparse.size(); ++i) {
+    const std::vector<float>& a = named_sparse[i].second.Data();
+    const std::vector<float>& b = named_dense[i].second.Data();
+    ASSERT_EQ(a.size(), b.size()) << named_sparse[i].first;
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_NEAR(a[j], b[j], kTrackTolerance)
+          << named_sparse[i].first << "[" << j << "]";
+    }
+  }
+  Tensor window = data.WindowInput(55, config.train.window);
+  const std::vector<float> pred_sparse =
+      pair.sparse->Forward(window, /*training=*/false).prediction.Data();
+  const std::vector<float> pred_dense =
+      pair.dense->Forward(window, /*training=*/false).prediction.Data();
+  ASSERT_EQ(pred_sparse.size(), pred_dense.size());
+  for (size_t i = 0; i < pred_sparse.size(); ++i) {
+    EXPECT_NEAR(pred_sparse[i], pred_dense[i], kTrackTolerance)
+        << "prediction " << i;
+  }
+}
+
+// The forecaster's own loop (default config: infomax, gradient
+// accumulation, EMA, validation snapshots) keeps the pattern it drew.
+TEST(SparseTrainingTest, ForecasterFitKeepsHypergraphPatternFixed) {
+  CrimeDataset data = SparseTestCity();
+  const SthslConfig config = SparseTrainConfig();
+  const NetPair pair = MakeNetPair(config, data, 50);
+  SthslForecaster model(config);
+  model.Fit(data, 50);
+  ASSERT_NE(model.net(), nullptr);
+  ExpectPrunedCoordinatesZero(model.net()->hyperedge_weights(), pair.mask);
+  // The live coordinates did train.
+  const std::vector<float>& h = model.net()->hyperedge_weights().Data();
+  const std::vector<float>& h0 = pair.sparse->hyperedge_weights().Data();
+  int64_t moved = 0;
+  for (size_t i = 0; i < h.size(); ++i) moved += h[i] != h0[i] ? 1 : 0;
+  EXPECT_GT(moved, 0);
 }
 
 }  // namespace
