@@ -22,10 +22,8 @@
 #include "core/sthsl_model.h"
 #include "exec/exec.h"
 #include "simd/simd.h"
-#include "sparse/sparse_tensor.h"
 #include "tensor/fusion.h"
 #include "tensor/optimizer.h"
-#include "tensor/sparse_ops.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/json_mini.h"
@@ -364,15 +362,6 @@ void RunRooflineBench() {
   Tensor window = Tensor::Rand({64, 14, 4}, rng, 0.0f, 3.0f);
   Tensor target = Tensor::Rand({64, 4}, rng, 0.0f, 3.0f);
 
-  // Sparse kernels at the Fig.-1 density regime (~5% fill): an incidence-
-  // shaped SpMM with fixed-pattern value grads.
-  Tensor sp_dense = Tensor::Randn({128, 1024}, rng, 1.0f, true);
-  for (float& v : sp_dense.MutableData()) {
-    if (!rng.Bernoulli(0.05)) v = 0.0f;
-  }
-  sparse::SparseTensor sp_csr = ToSparse(sp_dense).ToCsr();
-  Tensor sp_b = Tensor::Randn({1024, 64}, rng, 1.0f, true);
-
   const std::vector<RooflineWorkload> workloads = {
       {"gemm_256",
        [&] {
@@ -391,13 +380,6 @@ void RunRooflineBench() {
        [&] {
          Sum(Softmax(logits, 1)).Backward();
          logits.ZeroGrad();
-       }},
-      {"spmm_h128",
-       [&] {
-         Tensor vals = SparseValues(sp_dense, sp_csr);
-         Sum(SpMM(sp_csr, vals, sp_b)).Backward();
-         sp_dense.ZeroGrad();
-         sp_b.ZeroGrad();
        }},
       {"elementwise_1m",
        [&] {

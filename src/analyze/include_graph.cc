@@ -126,23 +126,18 @@ const std::map<std::string, std::vector<std::string>>& LayerTable() {
       {"exec", {"util", "exec"}},
       {"analyze", {"util", "analyze"}},
       {"simd", {"util", "exec", "simd"}},
-      {"sparse", {"util", "exec", "sparse"}},
-      {"tensor", {"util", "exec", "simd", "sparse", "tensor"}},
-      {"nn", {"util", "exec", "simd", "sparse", "tensor", "nn", "metrics"}},
-      {"metrics",
-       {"util", "exec", "simd", "sparse", "tensor", "nn", "metrics"}},
-      {"data",
-       {"util", "exec", "simd", "sparse", "tensor", "nn", "metrics",
-        "data"}},
+      {"tensor", {"util", "exec", "simd", "tensor"}},
+      {"nn", {"util", "exec", "simd", "tensor", "nn", "metrics"}},
+      {"metrics", {"util", "exec", "simd", "tensor", "nn", "metrics"}},
+      {"data", {"util", "exec", "simd", "tensor", "nn", "metrics", "data"}},
       {"core",
-       {"util", "exec", "simd", "sparse", "tensor", "nn", "metrics", "data",
-        "core"}},
+       {"util", "exec", "simd", "tensor", "nn", "metrics", "data", "core"}},
       {"baselines",
-       {"util", "exec", "simd", "sparse", "tensor", "nn", "metrics", "data",
-        "core", "baselines"}},
+       {"util", "exec", "simd", "tensor", "nn", "metrics", "data", "core",
+        "baselines"}},
       {"serve",
-       {"util", "exec", "simd", "sparse", "tensor", "nn", "metrics", "data",
-        "core", "baselines", "serve"}},
+       {"util", "exec", "simd", "tensor", "nn", "metrics", "data", "core",
+        "baselines", "serve"}},
   };
   return table;
 }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "tensor/ops.h"
-#include "tensor/sparse_ops.h"
 #include "util/check.h"
 #include "util/obs/obs.h"
 
@@ -100,16 +99,6 @@ SthslNet::SthslNet(const SthslConfig& config, int64_t grid_rows,
                                num_regions_ * num_categories_},
                               rng, num_regions_ * num_categories_,
                               config_.num_hyperedges));
-    if (config_.hypergraph_density < 1.0f) {
-      // Sparse incidence structure: keep each Xavier entry with probability
-      // `hypergraph_density`, zero the rest. The surviving coordinates are
-      // the fixed pattern — HypergraphPropagate never materializes
-      // gradients outside it, so dropped entries stay exact zeros through
-      // training.
-      for (float& v : hypergraph_.MutableData()) {
-        if (!rng.Bernoulli(config_.hypergraph_density)) v = 0.0f;
-      }
-    }
     if (config_.use_global_temporal) {
       for (int64_t i = 0; i < config_.global_temporal_layers; ++i) {
         global_temporal_convs_.push_back(
@@ -196,23 +185,9 @@ Tensor SthslNet::HypergraphPropagate(const Tensor& embeddings) const {
   // is one hypergraph node; time and latent dims ride along as features.
   Tensor e2 = Reshape(Permute(embeddings, {0, 2, 1, 3}),
                       {num_regions_ * num_categories_, w * d});
-  Tensor to_edges;  // (H, W*d)
-  Tensor back;      // (RC, W*d)
-  if (config_.hypergraph_density < 1.0f) {
-    // Fixed-pattern incidence: CSR SpMM over the parameter's current
-    // nonzeros. Construction zeroed the rest and SparseValues keeps their
-    // gradient at zero, so the pattern never changes. It is rebuilt per
-    // forward rather than cached: LoadCheckpoint overwrites the values in
-    // place, and a cached pattern would go stale.
-    sparse::SparseTensor csr = ToSparse(hypergraph_).ToCsr();
-    Tensor values = SparseValues(hypergraph_, csr);
-    to_edges = LeakyRelu(SpMM(csr, values, e2), slope);
-    back = LeakyRelu(SpMM(csr, values, to_edges, /*transpose_a=*/true),
-                     slope);
-  } else {
-    to_edges = LeakyRelu(MatMul(hypergraph_, e2), slope);
-    back = LeakyRelu(MatMul(Transpose(hypergraph_, 0, 1), to_edges), slope);
-  }
+  Tensor to_edges = LeakyRelu(MatMul(hypergraph_, e2), slope);  // (H, W*d)
+  Tensor back = LeakyRelu(MatMul(Transpose(hypergraph_, 0, 1), to_edges),
+                          slope);  // (RC, W*d)
   // Residual connection, as in the paper's Eq. 2-3 convolutions: keeps each
   // node's own signal alongside the (low-rank) global hyperedge mixing.
   back = Add(back, e2);

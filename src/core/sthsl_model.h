@@ -49,14 +49,6 @@ struct SthslConfig {
   bool use_contrastive = true;      // "w/o ConL" when false
   PredictionSource prediction_source = PredictionSource::kGlobal;
 
-  // Sparse hypergraph incidence (docs/sparse.md). `hypergraph_density` is
-  // the fraction of Xavier-initialized incidence entries kept at init; the
-  // rest are zeroed and — by the fixed-pattern gradient contract — stay
-  // exactly zero for the lifetime of the model. 1.0 (default) is the
-  // paper's fully dense parameter and dense GEMMs; below 1,
-  // HypergraphPropagate runs CSR SpMM over the live nonzeros.
-  float hypergraph_density = 1.0f;
-
   TrainConfig train;
 };
 

@@ -31,8 +31,8 @@ double SpatialGini(const CrimeDataset& data, int64_t c);
 
 /// Per-window sparsity summary: nnz / fill-fraction statistics over every
 /// length-`window` input window the dataset can serve (the Fig. 1 sparsity
-/// picture at the granularity the model actually consumes; drives the
-/// dense-vs-sparse dispatch guidance in docs/sparse.md).
+/// picture at the granularity the model actually consumes; printed by
+/// `sthsl_cli stats --verbose 1`).
 struct WindowDensitySummary {
   int64_t window = 0;
   int64_t num_windows = 0;

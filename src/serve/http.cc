@@ -154,6 +154,10 @@ HttpParse ParseHttpRequest(const std::string& buffer, size_t max_body_bytes,
     if (name.find(' ') != std::string::npos || name.find('\t') != std::string::npos) {
       return HttpParse::kBadRequest;
     }
+    // RFC 9112 §6.3: a repeated Content-Length is a framing error.
+    if (name == "content-length" && request.headers.count(name) != 0) {
+      return HttpParse::kBadRequest;
+    }
     request.headers[name] = Trim(line.substr(colon + 1));
   }
 
@@ -355,9 +359,10 @@ void HttpServer::HandleConnection(int fd) {
     }
     if (n == 0) break;  // peer closed
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      // Idle: a half-received request keeps waiting, an idle connection
-      // closes once the server is draining.
-      if (stopping_.load() && buffer.empty()) break;
+      // Idle: once the server is draining, the connection closes even with
+      // a half-received request buffered, so a stalled peer cannot hold
+      // Drain's join forever.
+      if (stopping_.load()) break;
       continue;
     }
     break;  // hard receive error

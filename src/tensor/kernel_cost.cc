@@ -49,16 +49,6 @@ int64_t ConvCells(const std::vector<Tensor>& inputs,
   return cells;
 }
 
-// nnz·n of a SpMM call: inputs are {values (nnz,), b (·, n)} and the model
-// counts only the stored entries — never the dense-equivalent m·k·n.
-int64_t SpmmCells(const std::vector<Tensor>& inputs,
-                  const std::vector<int64_t>& out_shape) {
-  if (inputs.empty() || !inputs[0].Defined() || out_shape.size() != 2) {
-    return 0;
-  }
-  return inputs[0].Numel() * out_shape[1];
-}
-
 // Step count K of a "fused_elemwise<K>" chain op, or 0 for other names.
 int64_t FusedChainSteps(const std::string& name) {
   constexpr const char kPrefix[] = "fused_elemwise";
@@ -90,7 +80,6 @@ int64_t ForwardOpFlops(const std::string& op_name,
   const int64_t out_numel = Product(out_shape);
   if (op_name == "matmul") return 2 * MatMulCells(inputs, out_shape);
   if (op_name == "conv2d") return 2 * ConvCells(inputs, out_shape);
-  if (op_name == "spmm") return 2 * SpmmCells(inputs, out_shape);
   if (op_name == "softmax") return 5 * out_numel;
   if (IsElementwise(op_name)) {
     return out_numel;
@@ -105,7 +94,6 @@ int64_t BackwardOpFlops(const std::string& op_name,
                         const std::vector<int64_t>& out_shape) {
   const int64_t out_numel = Product(out_shape);
   if (op_name == "matmul") return 4 * MatMulCells(inputs, out_shape);
-  if (op_name == "spmm") return 4 * SpmmCells(inputs, out_shape);
   if (op_name == "conv2d") {
     int64_t flops = 4 * ConvCells(inputs, out_shape);
     // Bias gradient: one add per output cell into the per-channel sums.

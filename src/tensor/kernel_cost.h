@@ -19,10 +19,6 @@
 //   softmax       5·numel                 (max-cmp, sub, exp, add, div)
 //   every row of tensor/elementwise_ops.h          1·numel(out)
 //   sum_all / sum_dims                    numel(input) adds
-//   spmm          2·nnz·n                 (multiply + add per stored entry
-//                                          per output column; nnz is the
-//                                          length of the values input)
-//   sparse_values                         0 (pure data movement)
 //   reshape/permute/narrow/cat/index_select        0 (pure data movement)
 // Backward models (assume every input needs its gradient):
 //   matmul        4·batch·m·k·n           (dA = dC·Bᵀ plus dB = Aᵀ·dC)
@@ -30,8 +26,7 @@
 //   softmax       4·numel                 (dot: mul+add; scale: sub+mul)
 //   binary elementwise rows   2·numel(out)   (one product per input grad)
 //   unary elementwise rows    2·numel        (gv · df)
-//   spmm          4·nnz·n                 (dvals row-dots plus db scatter)
-//   reductions / movement ops / sparse_values      0
+//   reductions / movement ops             0
 // Unmodeled op names return 0, never a guess.
 
 #include <cstdint>

@@ -182,7 +182,7 @@ TEST(LayeringTest, FlagsUpwardInclude) {
   EXPECT_EQ(findings[0].rule, "layer-dag");
   EXPECT_EQ(findings[0].line, 1);
   EXPECT_NE(findings[0].message.find("serve/http.h"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("util, exec, simd, sparse, tensor"),
+  EXPECT_NE(findings[0].message.find("util, exec, simd, tensor"),
             std::string::npos);
 }
 
@@ -210,20 +210,6 @@ TEST(LayeringTest, AcceptsDownwardAndSameLayerIncludes) {
        "#include \"util/check.h\"\n"},
       {"src/nn/layers.cc", "#include \"metrics/metrics.h\"\n"}};
   EXPECT_TRUE(RunLayeringPass(files).empty());
-}
-
-TEST(LayeringTest, SparseSitsBetweenExecAndTensor) {
-  // tensor may reach down into sparse, sparse down into exec...
-  const std::vector<SourceFile> ok = {
-      {"src/tensor/sparse_ops.cc", "#include \"sparse/kernels.h\"\n"},
-      {"src/sparse/kernels.cc", "#include \"exec/exec.h\"\n"}};
-  EXPECT_TRUE(RunLayeringPass(ok).empty());
-  // ...but sparse must never include upward into tensor.
-  const std::vector<SourceFile> bad = {
-      {"src/sparse/bad.cc", "#include \"tensor/tensor.h\"\n"}};
-  const auto findings = RunLayeringPass(bad);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "layer-dag");
 }
 
 TEST(LayeringTest, CoreMustNotIncludeBaselines) {

@@ -213,6 +213,10 @@ TEST(HttpParseTest, MalformedRequestsRejected) {
                 "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
                 1 << 20, &request, &consumed),
             HttpParse::kBadRequest);  // chunked unsupported
+  EXPECT_EQ(ParseHttpRequest("POST /x HTTP/1.1\r\nContent-Length: 5\r\n"
+                             "Content-Length: 100\r\n\r\nabcde",
+                             1 << 20, &request, &consumed),
+            HttpParse::kBadRequest);  // repeated Content-Length
 }
 
 TEST(HttpParseTest, OversizedBodyIsPayloadTooLarge) {
@@ -519,9 +523,8 @@ TEST(BundleTest, UnrunnableArchitecturesAreRejected) {
   }
 }
 
-// Minimal blocking HTTP client for the loopback test.
-std::string HttpRoundTrip(int port, const std::string& request_text,
-                          int* status) {
+// A TCP connection to 127.0.0.1:`port`.
+int ConnectLoopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -529,6 +532,13 @@ std::string HttpRoundTrip(int port, const std::string& request_text,
   addr.sin_port = htons(static_cast<uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  return fd;
+}
+
+// Minimal blocking HTTP client for the loopback test.
+std::string HttpRoundTrip(int port, const std::string& request_text,
+                          int* status) {
+  const int fd = ConnectLoopback(port);
   size_t sent = 0;
   while (sent < request_text.size()) {
     const ssize_t n =
@@ -568,13 +578,7 @@ std::string RenderPost(const std::string& target, const std::string& body) {
 // Like HttpRoundTrip but returns the raw response (status line + headers +
 // body) so tests can inspect response headers such as `traceparent`.
 std::string HttpRoundTripRaw(int port, const std::string& request_text) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const int fd = ConnectLoopback(port);
   size_t sent = 0;
   while (sent < request_text.size()) {
     const ssize_t n =
@@ -926,6 +930,43 @@ TEST(ServeLoopbackTest, ConcurrentRequestsAllAnswered) {
   EXPECT_EQ(stats.requests, 32);
   EXPECT_GT(stats.batches, 0);
   engine.Shutdown();
+}
+
+TEST(HttpServerTest, DrainClosesConnectionWithHalfReceivedRequest) {
+  HttpServer server;
+  server.Route("GET", "/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{}";
+    return response;
+  });
+  ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
+  const int fd = ConnectLoopback(server.port());
+  auto send_text = [fd](const std::string& text) {
+    EXPECT_EQ(::send(fd, text.data(), text.size(), 0),
+              static_cast<ssize_t>(text.size()));
+  };
+  // One full keep-alive exchange first, so the server holds the connection
+  // in a handler thread before the partial request arrives.
+  send_text("GET /ping HTTP/1.1\r\nHost: t\r\n\r\n");
+  std::string response;
+  char chunk[1024];
+  while (!response.ends_with("{}")) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    ASSERT_GT(n, 0) << response;
+    response.append(chunk, static_cast<size_t>(n));
+  }
+  // 3 of the 10 declared body bytes, then silence.
+  send_text("POST /v1/predict HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
+
+  std::future<void> drained =
+      std::async(std::launch::async, [&server] { server.Drain(); });
+  EXPECT_EQ(drained.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready)
+      << "Drain still waits on a connection holding a partial request";
+  // Closing the client end releases a server that did not give up by
+  // itself, so a failing run ends instead of hanging.
+  ::close(fd);
+  drained.get();
 }
 
 }  // namespace
