@@ -6,6 +6,7 @@
 
 #include "exec/exec.h"
 #include "simd/simd.h"
+#include "util/build_info.h"
 #include "util/logging.h"
 #include "util/json_mini.h"
 #include "util/obs/calibrate.h"
@@ -27,19 +28,6 @@ int64_t EnvInt(const char* name, int64_t fallback) {
   return std::atoll(env);
 }
 
-std::string GitHashOrUnknown() {
-  std::FILE* pipe = popen("git rev-parse HEAD 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[64] = {0};
-  const size_t n = std::fread(buf, 1, sizeof buf - 1, pipe);
-  pclose(pipe);
-  std::string hash(buf, n);
-  while (!hash.empty() && (hash.back() == '\n' || hash.back() == '\r')) {
-    hash.pop_back();
-  }
-  return hash.empty() ? "unknown" : hash;
-}
-
 // The opening of an object document that records where its numbers came
 // from: '{' and a "provenance" member. MaybeWriteBenchJson splices it over
 // every bench document's opening brace. Purely additive: existing consumers
@@ -47,7 +35,7 @@ std::string GitHashOrUnknown() {
 std::string ProvenanceOpening() {
   json::JsonWriter json;
   json.BeginObject().Key("provenance").BeginObject();
-  json.Key("git_hash").String(GitHashOrUnknown());
+  json.Key("git_hash").String(GitHash());
   json.Key("created_utc").String(internal_logging::FormatTimestampIso8601());
   json.Key("threads").Int(exec::ThreadCount());
   json.Key("cpu_model").String(obs::CpuModelName());

@@ -11,6 +11,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "serve/access_log.h"
@@ -34,11 +35,65 @@ std::string ToLower(std::string s) {
   return s;
 }
 
-std::string Trim(const std::string& s) {
-  size_t begin = s.find_first_not_of(" \t");
-  if (begin == std::string::npos) return "";
-  size_t end = s.find_last_not_of(" \t");
-  return s.substr(begin, end - begin + 1);
+std::string_view Trim(std::string_view s) {
+  const size_t begin = s.find_first_not_of(" \t");
+  if (begin == std::string_view::npos) return {};
+  return s.substr(begin, s.find_last_not_of(" \t") - begin + 1);
+}
+
+/// Parses the header fields from `cursor` (just past the start line) to
+/// `header_end` (the blank line) into `headers` in place: names lower-cased,
+/// values trimmed. One grammar for requests and responses: false on a field
+/// without a name or a colon (folded continuations included) and on a
+/// repeated Content-Length, a framing error per RFC 9112 §6.3.
+bool ParseHeaderFields(const std::string& buffer, size_t cursor,
+                       size_t header_end,
+                       std::map<std::string, std::string>* headers) {
+  while (cursor < header_end) {
+    const size_t eol = buffer.find("\r\n", cursor);
+    const std::string_view line(buffer.data() + cursor, eol - cursor);
+    cursor = eol + 2;
+    const size_t colon = line.find(':');
+    if (colon == std::string_view::npos || colon == 0) return false;
+    std::string name = ToLower(std::string(Trim(line.substr(0, colon))));
+    if (name.find_first_of(" \t") != std::string::npos) return false;
+    if (name == "content-length" && headers->count(name) != 0) return false;
+    (*headers)[std::move(name)] = std::string(Trim(line.substr(colon + 1)));
+  }
+  return true;
+}
+
+/// The body length that parsed `headers` declare. False on Transfer-Encoding
+/// (chunked bodies are not supported) and on a Content-Length that is not
+/// 1-12 digits; a missing one is false when `required`, else 0.
+bool ContentLength(const std::map<std::string, std::string>& headers,
+                   bool required, size_t* length) {
+  if (headers.count("transfer-encoding") != 0) return false;
+  const auto it = headers.find("content-length");
+  if (it == headers.end()) {
+    *length = 0;
+    return !required;
+  }
+  const std::string& text = it->second;
+  if (text.empty() || text.size() > 12 ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  *length = static_cast<size_t>(std::stoull(text));
+  return true;
+}
+
+/// The only sockaddr cast: bind, getsockname and connect all take this view.
+sockaddr* AsSockaddr(sockaddr_in* addr) {
+  return reinterpret_cast<sockaddr*>(addr);
+}
+
+/// Fills the zeroed `*addr` with `host:port`; false when `host` is not an
+/// IPv4 address.
+bool Ipv4Address(const std::string& host, int port, sockaddr_in* addr) {
+  addr->sin_family = AF_INET;
+  addr->sin_port = htons(static_cast<uint16_t>(port));
+  return ::inet_pton(AF_INET, host.c_str(), &addr->sin_addr) == 1;
 }
 
 /// Sends the whole buffer, riding out short writes. MSG_NOSIGNAL keeps a
@@ -49,7 +104,7 @@ bool SendAll(int fd, const std::string& data) {
     const ssize_t n =
         ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+      if (n < 0 && errno == EINTR) continue;
       return false;
     }
     sent += static_cast<size_t>(n);
@@ -140,41 +195,10 @@ HttpParse ParseHttpRequest(const std::string& buffer, size_t max_body_bytes,
     return HttpParse::kBadRequest;
   }
 
-  // Header fields.
-  size_t cursor = line_end + 2;
-  while (cursor < header_end) {
-    const size_t eol = buffer.find("\r\n", cursor);
-    const std::string line = buffer.substr(cursor, eol - cursor);
-    cursor = eol + 2;
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos || colon == 0) {
-      return HttpParse::kBadRequest;  // also rejects folded continuations
-    }
-    const std::string name = ToLower(Trim(line.substr(0, colon)));
-    if (name.find(' ') != std::string::npos || name.find('\t') != std::string::npos) {
-      return HttpParse::kBadRequest;
-    }
-    // RFC 9112 §6.3: a repeated Content-Length is a framing error.
-    if (name == "content-length" && request.headers.count(name) != 0) {
-      return HttpParse::kBadRequest;
-    }
-    request.headers[name] = Trim(line.substr(colon + 1));
-  }
-
-  if (request.headers.count("transfer-encoding") != 0) {
-    return HttpParse::kBadRequest;  // chunked bodies are not supported
-  }
-
   size_t content_length = 0;
-  const auto it = request.headers.find("content-length");
-  if (it != request.headers.end()) {
-    const std::string& text = it->second;
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos ||
-        text.size() > 12) {
-      return HttpParse::kBadRequest;
-    }
-    content_length = static_cast<size_t>(std::stoull(text));
+  if (!ParseHeaderFields(buffer, line_end + 2, header_end, &request.headers) ||
+      !ContentLength(request.headers, /*required=*/false, &content_length)) {
+    return HttpParse::kBadRequest;
   }
   if (content_length > max_body_bytes) return HttpParse::kPayloadTooLarge;
 
@@ -185,6 +209,51 @@ HttpParse ParseHttpRequest(const std::string& buffer, size_t max_body_bytes,
   request.body = buffer.substr(body_begin, content_length);
   *consumed = body_begin + content_length;
   *out = std::move(request);
+  return HttpParse::kOk;
+}
+
+std::string HttpReply::Header(const std::string& name) const {
+  const auto it = headers.find(name);
+  return it == headers.end() ? std::string() : it->second;
+}
+
+HttpParse ParseHttpResponse(const std::string& buffer, HttpReply* out,
+                            size_t* consumed) {
+  const size_t header_end = buffer.find("\r\n\r\n");
+  if (header_end == std::string::npos) {
+    return buffer.size() > kMaxHeaderBytes ? HttpParse::kBadRequest
+                                           : HttpParse::kNeedMore;
+  }
+  if (header_end > kMaxHeaderBytes) return HttpParse::kBadRequest;
+
+  // Status line: "HTTP/1.x NNN" and an optional " reason".
+  const size_t line_end = buffer.find("\r\n");
+  const std::string_view status_line(buffer.data(), line_end);
+  if (status_line.size() < 12 || status_line.substr(0, 7) != "HTTP/1." ||
+      status_line[8] != ' ' ||
+      (status_line.size() > 12 && status_line[12] != ' ')) {
+    return HttpParse::kBadRequest;
+  }
+  HttpReply reply;
+  for (size_t i = 9; i < 12; ++i) {
+    if (!std::isdigit(static_cast<unsigned char>(status_line[i]))) {
+      return HttpParse::kBadRequest;
+    }
+    reply.status = reply.status * 10 + (status_line[i] - '0');
+  }
+
+  size_t content_length = 0;
+  if (!ParseHeaderFields(buffer, line_end + 2, header_end, &reply.headers) ||
+      !ContentLength(reply.headers, /*required=*/true, &content_length)) {
+    return HttpParse::kBadRequest;
+  }
+  const size_t body_begin = header_end + 4;
+  if (buffer.size() - body_begin < content_length) {
+    return HttpParse::kNeedMore;
+  }
+  reply.body = buffer.substr(body_begin, content_length);
+  *consumed = body_begin + content_length;
+  *out = std::move(reply);
   return HttpParse::kOk;
 }
 
@@ -226,15 +295,12 @@ Status HttpServer::Start(const std::string& host, int port) {
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
   sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+  if (!Ipv4Address(host, port, &addr)) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Status::InvalidArgument("not an IPv4 address: " + host);
   }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
+  if (::bind(listen_fd_, AsSockaddr(&addr), sizeof(addr)) != 0) {
     const std::string error = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -249,8 +315,7 @@ Status HttpServer::Start(const std::string& host, int port) {
   }
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
+  if (::getsockname(listen_fd_, AsSockaddr(&bound), &bound_len) != 0) {
     const std::string error = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -396,6 +461,121 @@ void HttpServer::Drain() {
     STHSL_LOG(Info) << "http server on port " << port_ << " drained ("
                     << requests_served_.load() << " requests served)";
   }
+}
+
+HttpClient::HttpClient(std::string host, int port)
+    : host_(std::move(host)), port_(port) {}
+
+HttpClient::~HttpClient() { Close(); }
+
+void HttpClient::Close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  buffer_.clear();
+}
+
+Status HttpClient::Fail(const std::string& what, const std::string& error) {
+  Close();
+  return Status::IoError(what + " " + host_ + ":" + std::to_string(port_) +
+                         ": " + error);
+}
+
+Status HttpClient::Connect() {
+  Close();
+  sockaddr_in addr{};
+  if (!Ipv4Address(host_, port_, &addr)) {
+    return Status::InvalidArgument("not an IPv4 address: " + host_);
+  }
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd_ < 0) return Fail("socket for", std::strerror(errno));
+  // Set before connect: on Linux SO_SNDTIMEO bounds the handshake too, and
+  // a connect that runs out of it fails with EINPROGRESS.
+  timeval timeout{};
+  timeout.tv_sec = kTimeoutMs / 1000;
+  timeout.tv_usec = (kTimeoutMs % 1000) * 1000;
+  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  if (::connect(fd_, AsSockaddr(&addr), sizeof(addr)) != 0) {
+    return Fail("connect", errno == EINPROGRESS ? "timed out"
+                                                : std::strerror(errno));
+  }
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return Status::Ok();
+}
+
+Status HttpClient::SendRaw(const std::string& bytes) {
+  if (fd_ < 0) {
+    if (Status status = Connect(); !status.ok()) return status;
+  }
+  if (!SendAll(fd_, bytes)) {
+    return Fail("send to", errno == EAGAIN || errno == EWOULDBLOCK
+                               ? "timed out"
+                               : std::strerror(errno));
+  }
+  return Status::Ok();
+}
+
+Result<HttpReply> HttpClient::ReadResponse() {
+  if (fd_ < 0) return Fail("read from", "not connected");
+  char chunk[16 * 1024];
+  while (true) {
+    HttpReply reply;
+    size_t consumed = 0;
+    const HttpParse parsed = ParseHttpResponse(buffer_, &reply, &consumed);
+    if (parsed == HttpParse::kOk) {
+      buffer_.erase(0, consumed);
+      if (ToLower(reply.Header("connection")) == "close") Close();
+      return reply;
+    }
+    if (parsed != HttpParse::kNeedMore) {
+      return Fail("read from", "malformed HTTP response");
+    }
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      buffer_.append(chunk, static_cast<size_t>(n));
+    } else if (n == 0) {
+      return Fail("read from", "connection closed by peer");
+    } else if (errno != EINTR) {
+      return Fail("read from", errno == EAGAIN || errno == EWOULDBLOCK
+                                   ? "timed out"
+                                   : std::strerror(errno));
+    }
+  }
+}
+
+Result<HttpReply> HttpClient::Request(
+    const std::string& method, const std::string& target,
+    const std::string& body,
+    const std::vector<std::pair<std::string, std::string>>& headers) {
+  std::string text = method + " " + target + " HTTP/1.1\r\nHost: " + host_ +
+                     "\r\n";
+  std::string traceparent;
+  for (const auto& [name, value] : headers) {
+    text += name + ": " + value + "\r\n";
+    if (ToLower(name) == "traceparent") traceparent = value;
+  }
+  if (traceparent.empty()) {
+    traceparent = MakeRequestContext("").TraceparentHeader();
+    text += "traceparent: " + traceparent + "\r\n";
+  }
+  if (!body.empty()) {
+    text += "Content-Type: application/json\r\nContent-Length: " +
+            std::to_string(body.size()) + "\r\n";
+  }
+  text += "\r\n";
+  text += body;
+  if (Status sent = SendRaw(text); !sent.ok()) return sent;
+  Result<HttpReply> reply = ReadResponse();
+  if (reply.ok()) {
+    std::string sent_id, echoed_id, span_id;
+    reply.value().trace_echoed =
+        ParseTraceparent(traceparent, &sent_id, &span_id) &&
+        ParseTraceparent(reply.value().Header("traceparent"), &echoed_id,
+                         &span_id) &&
+        echoed_id == sent_id;
+  }
+  return reply;
 }
 
 }  // namespace sthsl::serve

@@ -59,6 +59,28 @@ enum class HttpParse {
 HttpParse ParseHttpRequest(const std::string& buffer, size_t max_body_bytes,
                            HttpRequest* out, size_t* consumed);
 
+/// One response as HttpClient reads it. Header names are lower-cased.
+struct HttpReply {
+  int status = 0;
+  std::map<std::string, std::string> headers;
+  std::string body;
+  /// True when the request carried a well-formed `traceparent` and the
+  /// response echoed its trace id in a well-formed `traceparent` of its own.
+  bool trace_echoed = false;
+
+  /// The value of header `name` (lower-case), or "" when absent.
+  std::string Header(const std::string& name) const;
+};
+
+/// Parses one response from the front of `buffer`: the client-side mirror
+/// of ParseHttpRequest, with the same header-field grammar. The body is
+/// framed by Content-Length alone, so a response without one, with a
+/// repeated or non-numeric one, with Transfer-Encoding or with a malformed
+/// status line is kBadRequest. On kOk, `*consumed` counts the bytes used;
+/// pipelined responses keep theirs.
+HttpParse ParseHttpResponse(const std::string& buffer, HttpReply* out,
+                            size_t* consumed);
+
 /// Serializes `response` with Content-Length and Connection headers.
 std::string RenderHttpResponse(const HttpResponse& response, bool keep_alive);
 
@@ -117,6 +139,53 @@ class HttpServer {
   std::thread accept_thread_;
   std::mutex conn_mu_;
   std::vector<std::thread> conn_threads_;
+};
+
+/// Blocking HTTP/1.1 client over one keep-alive connection to `host:port`,
+/// the counterpart of HttpServer (used by the serving tests and
+/// sthsl_loadgen). Connecting, and every send and receive, gives up after
+/// kTimeoutMs, so a stalled or absent server is an error rather than a
+/// hang; sends never raise SIGPIPE. Not thread-safe: one client per thread.
+class HttpClient {
+ public:
+  static constexpr int kTimeoutMs = 5000;
+
+  HttpClient(std::string host, int port);
+  ~HttpClient();
+
+  HttpClient(const HttpClient&) = delete;
+  HttpClient& operator=(const HttpClient&) = delete;
+
+  /// Opens a fresh connection, closing any open one.
+  Status Connect();
+  void Close();
+
+  /// Sends `method target` with `headers` and `body` (as application/json
+  /// when not empty), connecting first when no connection is open, and
+  /// reads the response. A request without a `traceparent` header gets one
+  /// minted by MakeRequestContext; HttpReply::trace_echoed says whether the
+  /// server echoed its trace id. The connection stays open for the next
+  /// request unless the response says `Connection: close`; any error
+  /// closes it.
+  Result<HttpReply> Request(
+      const std::string& method, const std::string& target,
+      const std::string& body = "",
+      const std::vector<std::pair<std::string, std::string>>& headers = {});
+
+  /// Writes `bytes` as they are (e.g. half a request), connecting first
+  /// when no connection is open.
+  Status SendRaw(const std::string& bytes);
+
+  /// Reads the next response on the connection.
+  Result<HttpReply> ReadResponse();
+
+ private:
+  Status Fail(const std::string& what, const std::string& error);
+
+  std::string host_;
+  int port_;
+  int fd_ = -1;
+  std::string buffer_;  // received bytes not yet parsed into a response
 };
 
 }  // namespace sthsl::serve

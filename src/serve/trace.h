@@ -12,11 +12,12 @@ namespace sthsl::serve {
 ///
 /// Every request gets a RequestContext carrying a W3C trace id: accepted
 /// from an incoming `traceparent` header when it is well-formed, generated
-/// otherwise, and echoed back in the response so a client (sthsl_loadgen,
-/// an upstream proxy) can join its own measurements against the server's
-/// per-stage breakdown. The context accumulates one duration per pipeline
-/// stage; the service publishes them into per-stage LogHistograms, the
-/// chrome://tracing buffer ("serve" category) and the JSONL access log.
+/// otherwise, and echoed back in the response so a client (HttpClient, and
+/// through it sthsl_loadgen; an upstream proxy) can join its own
+/// measurements against the server's per-stage breakdown. The context
+/// accumulates one duration per pipeline stage; the service publishes them
+/// into per-stage LogHistograms, the chrome://tracing buffer ("serve"
+/// category) and the JSONL access log.
 
 /// The fixed stages of the predict pipeline, in request order.
 enum class Stage {

@@ -2,9 +2,9 @@
 #define STHSL_UTIL_JSON_MINI_H_
 
 // Minimal header-only JSON toolkit shared by every layer and by the
-// dependency-free tools (`sthsl_report`, `sthsl_loadgen`): the one writer
-// every JSON document in the repo goes through, plus a recursive-descent
-// parser. Header-only on purpose: the validators must stay buildable and
+// dependency-free validator `sthsl_report`: the one writer every JSON
+// document in the repo goes through, plus a recursive-descent parser.
+// Header-only on purpose: the validators must stay buildable and
 // trustworthy without linking the library they are checking.
 
 #include <cctype>

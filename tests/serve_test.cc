@@ -1,12 +1,8 @@
 // Tests for the sthsl::serve subsystem: micro-batcher flush rules, LRU
-// prediction-cache accounting, HTTP request parsing limits, bundle
-// round-trip, and an end-to-end loopback check that served predictions are
-// bitwise identical to a direct Forecaster call (cold and cached).
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
+// prediction-cache accounting, HTTP request and response parsing, the HTTP
+// client, bundle round-trip, and an end-to-end loopback check that served
+// predictions are bitwise identical to a direct Forecaster call (cold and
+// cached).
 
 #include <algorithm>
 #include <atomic>
@@ -227,6 +223,113 @@ TEST(HttpParseTest, OversizedBodyIsPayloadTooLarge) {
   EXPECT_EQ(ParseHttpRequest("POST /x HTTP/1.1\r\nContent-Length: 100\r\n\r\n",
                              /*max_body_bytes=*/99, &request, &consumed),
             HttpParse::kPayloadTooLarge);
+}
+
+constexpr char kOkResponse[] =
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    "Content-Length: 2\r\n"
+    "traceparent: 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01\r\n"
+    "\r\n{}";
+
+TEST(HttpResponseParseTest, ByteAtATimeParsesLikeWhole) {
+  const std::string whole = kOkResponse;
+  HttpReply expected;
+  size_t consumed = 0;
+  ASSERT_EQ(ParseHttpResponse(whole, &expected, &consumed), HttpParse::kOk);
+  EXPECT_EQ(consumed, whole.size());
+  EXPECT_EQ(expected.status, 200);
+  EXPECT_EQ(expected.body, "{}");
+  EXPECT_EQ(expected.Header("traceparent").size(), 55u);
+
+  std::string fed;
+  for (size_t i = 0; i + 1 < whole.size(); ++i) {
+    fed += whole[i];
+    HttpReply partial;
+    ASSERT_EQ(ParseHttpResponse(fed, &partial, &consumed),
+              HttpParse::kNeedMore)
+        << "after " << fed.size() << " bytes";
+  }
+  fed += whole.back();
+  HttpReply reply;
+  ASSERT_EQ(ParseHttpResponse(fed, &reply, &consumed), HttpParse::kOk);
+  EXPECT_EQ(consumed, whole.size());
+  EXPECT_EQ(reply.status, expected.status);
+  EXPECT_EQ(reply.headers, expected.headers);
+  EXPECT_EQ(reply.body, expected.body);
+}
+
+TEST(HttpResponseParseTest, PipelinedResponsesComeApart) {
+  std::string buffer = std::string(kOkResponse) +
+                       "HTTP/1.1 404 Not Found\r\nContent-Length: 5\r\n"
+                       "Connection: close\r\n\r\nnope!";
+  HttpReply first;
+  size_t consumed = 0;
+  ASSERT_EQ(ParseHttpResponse(buffer, &first, &consumed), HttpParse::kOk);
+  EXPECT_EQ(first.status, 200);
+  EXPECT_EQ(first.body, "{}");
+  buffer.erase(0, consumed);
+  HttpReply second;
+  ASSERT_EQ(ParseHttpResponse(buffer, &second, &consumed), HttpParse::kOk);
+  EXPECT_EQ(second.status, 404);
+  EXPECT_EQ(second.body, "nope!");
+  EXPECT_EQ(second.Header("connection"), "close");
+  EXPECT_EQ(consumed, buffer.size());
+}
+
+TEST(HttpResponseParseTest, ContentLengthNameIsCaseInsensitive) {
+  // A header value that mentions content-length does not frame the body.
+  const std::string raw =
+      "HTTP/1.1 200 OK\r\nX-Note: content-length: 99\r\n"
+      "CoNtEnT-lEnGtH: 3\r\n\r\nabcEXTRA";
+  HttpReply reply;
+  size_t consumed = 0;
+  ASSERT_EQ(ParseHttpResponse(raw, &reply, &consumed), HttpParse::kOk);
+  EXPECT_EQ(reply.body, "abc");
+  EXPECT_EQ(reply.Header("content-length"), "3");
+  EXPECT_EQ(reply.Header("x-note"), "content-length: 99");
+  EXPECT_EQ(consumed, raw.size() - 5);  // "EXTRA" stays buffered
+}
+
+TEST(HttpResponseParseTest, BadFramingRejected) {
+  for (const char* raw : {
+           "HTTP/1.1 200 OK\r\n\r\n{}",  // no Content-Length
+           "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+           "Content-Length: 2\r\n\r\n{}",  // repeated
+           "HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}",
+           "HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\n{}",
+           "HTTP/1.1 200 OK\r\nContent-Length: \r\n\r\n{}",
+           "HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\n",
+           "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+           "Content-Length: 2\r\n\r\n{}",
+           "HTTP/2 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+           "HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\n{}",
+           "HTTP/1.1 200OK\r\nContent-Length: 2\r\n\r\n{}",
+       }) {
+    HttpReply reply;
+    size_t consumed = 0;
+    EXPECT_EQ(ParseHttpResponse(raw, &reply, &consumed),
+              HttpParse::kBadRequest)
+        << raw;
+  }
+}
+
+TEST(HttpClientTest, ConnectWithoutListenerFailsWithinTimeout) {
+  int port = 0;
+  {
+    HttpServer server;
+    ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
+    port = server.port();
+    server.Drain();  // the port has no listener from here on
+  }
+  HttpClient client("127.0.0.1", port);
+  const auto start = std::chrono::steady_clock::now();
+  const Status connected = client.Connect();
+  const Result<HttpReply> reply = client.Request("GET", "/healthz");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(connected.ok());
+  EXPECT_EQ(connected.code(), Status::Code::kIoError) << connected.ToString();
+  EXPECT_FALSE(reply.ok());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(HttpClient::kTimeoutMs));
 }
 
 TEST(TraceparentTest, ParsesWellFormedHeader) {
@@ -523,93 +626,16 @@ TEST(BundleTest, UnrunnableArchitecturesAreRejected) {
   }
 }
 
-// A TCP connection to 127.0.0.1:`port`.
-int ConnectLoopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  return fd;
-}
-
-// Minimal blocking HTTP client for the loopback test.
-std::string HttpRoundTrip(int port, const std::string& request_text,
-                          int* status) {
-  const int fd = ConnectLoopback(port);
-  size_t sent = 0;
-  while (sent < request_text.size()) {
-    const ssize_t n =
-        ::send(fd, request_text.data() + sent, request_text.size() - sent, 0);
-    if (n <= 0) {
-      ADD_FAILURE() << "send failed";
-      ::close(fd);
-      return "";
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char chunk[16384];
-  ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-    const size_t header_end = response.find("\r\n\r\n");
-    if (header_end == std::string::npos) continue;
-    const size_t cl = response.find("Content-Length: ");
-    if (cl == std::string::npos) continue;
-    const size_t body_len = std::strtoul(response.c_str() + cl + 16, nullptr, 10);
-    if (response.size() >= header_end + 4 + body_len) break;
-  }
-  ::close(fd);
-  *status = 0;
-  std::sscanf(response.c_str(), "HTTP/1.1 %d", status);
-  const size_t header_end = response.find("\r\n\r\n");
-  return header_end == std::string::npos ? ""
-                                         : response.substr(header_end + 4);
-}
-
-std::string RenderPost(const std::string& target, const std::string& body) {
-  return "POST " + target + " HTTP/1.1\r\nHost: t\r\nContent-Length: " +
-         std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" + body;
-}
-
-// Like HttpRoundTrip but returns the raw response (status line + headers +
-// body) so tests can inspect response headers such as `traceparent`.
-std::string HttpRoundTripRaw(int port, const std::string& request_text) {
-  const int fd = ConnectLoopback(port);
-  size_t sent = 0;
-  while (sent < request_text.size()) {
-    const ssize_t n =
-        ::send(fd, request_text.data() + sent, request_text.size() - sent, 0);
-    if (n <= 0) {
-      ADD_FAILURE() << "send failed";
-      ::close(fd);
-      return "";
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char chunk[16384];
-  ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-// The value of `header` ("name: value\r\n") in a raw response, or "".
-std::string ResponseHeader(const std::string& raw, const std::string& name) {
-  const size_t head_end = raw.find("\r\n\r\n");
-  const std::string head =
-      head_end == std::string::npos ? raw : raw.substr(0, head_end);
-  const size_t at = head.find("\r\n" + name + ": ");
-  if (at == std::string::npos) return "";
-  const size_t begin = at + 2 + name.size() + 2;
-  const size_t end = head.find("\r\n", begin);
-  return head.substr(begin, end - begin);
+// One exchange over `client`; a transport error fails the test and yields
+// a reply with status 0.
+HttpReply Exchange(
+    HttpClient& client, const std::string& method, const std::string& target,
+    const std::string& body = "",
+    const std::vector<std::pair<std::string, std::string>>& headers = {}) {
+  Result<HttpReply> reply = client.Request(method, target, body, headers);
+  EXPECT_TRUE(reply.ok()) << method << " " << target << ": "
+                          << reply.status().ToString();
+  return reply.ok() ? std::move(reply).value() : HttpReply{};
 }
 
 // Parses a response body; a body that is not JSON fails the test.
@@ -618,12 +644,6 @@ json::JsonValue ParseBody(const std::string& body) {
   std::string error;
   EXPECT_TRUE(json::JsonParser(body).Parse(&root, &error)) << error << body;
   return root;
-}
-
-// The body after a raw response's header block.
-std::string RawBody(const std::string& raw) {
-  const size_t head_end = raw.find("\r\n\r\n");
-  return head_end == std::string::npos ? "" : raw.substr(head_end + 4);
 }
 
 // The "prediction" array as float32 bit patterns. The server renders floats
@@ -685,67 +705,54 @@ TEST(ServeLoopbackTest, EndToEndMatchesDirectPredictBitwise) {
   }
   body += "]}";
 
+  // Requests below share one keep-alive connection (reopened once, after
+  // the `Connection: close` request).
+  HttpClient client("127.0.0.1", server.port());
+
   // Cold request: batched forward path, cache miss.
-  int status = 0;
-  std::string cold =
-      HttpRoundTrip(server.port(), RenderPost("/v1/predict", body), &status);
-  ASSERT_EQ(status, 200) << cold;
-  EXPECT_FALSE(CacheHit(ParseBody(cold))) << cold;
-  EXPECT_EQ(PredictionBits(ParseBody(cold)), expected);
+  const HttpReply cold = Exchange(client, "POST", "/v1/predict", body);
+  ASSERT_EQ(cold.status, 200) << cold.body;
+  EXPECT_FALSE(CacheHit(ParseBody(cold.body))) << cold.body;
+  EXPECT_EQ(PredictionBits(ParseBody(cold.body)), expected);
 
   // Warm request: identical window must be a cache hit, same exact bytes.
-  std::string warm =
-      HttpRoundTrip(server.port(), RenderPost("/v1/predict", body), &status);
-  ASSERT_EQ(status, 200) << warm;
-  EXPECT_TRUE(CacheHit(ParseBody(warm))) << warm;
-  EXPECT_EQ(PredictionBits(ParseBody(warm)), expected);
+  const HttpReply warm = Exchange(client, "POST", "/v1/predict", body);
+  ASSERT_EQ(warm.status, 200) << warm.body;
+  EXPECT_TRUE(CacheHit(ParseBody(warm.body))) << warm.body;
+  EXPECT_EQ(PredictionBits(ParseBody(warm.body)), expected);
 
   // Bad inputs come back as client errors, never aborts.
-  std::string bad = HttpRoundTrip(
-      server.port(), RenderPost("/v1/predict", "{\"window\": [1,2]}"),
-      &status);
-  EXPECT_EQ(status, 400) << bad;
-  bad = HttpRoundTrip(server.port(), RenderPost("/v1/predict", "not json"),
-                      &status);
-  EXPECT_EQ(status, 400) << bad;
-  bad = HttpRoundTrip(
-      server.port(),
-      RenderPost("/v1/predict",
-                 "{\"window\": [1], \"shape\": [-3, 9999999999999]}"),
-      &status);
-  EXPECT_EQ(status, 400) << bad;
+  for (const char* bad_body :
+       {"{\"window\": [1,2]}", "not json",
+        "{\"window\": [1], \"shape\": [-3, 9999999999999]}"}) {
+    const HttpReply bad = Exchange(client, "POST", "/v1/predict", bad_body);
+    EXPECT_EQ(bad.status, 400) << bad_body << " -> " << bad.body;
+  }
 
-  // Routing: wrong path → 404, wrong method on a known path → 405.
-  HttpRoundTrip(server.port(), RenderPost("/nope", "{}"), &status);
-  EXPECT_EQ(status, 404);
-  HttpRoundTrip(server.port(),
-                "GET /v1/predict HTTP/1.1\r\nHost: t\r\n"
-                "Connection: close\r\n\r\n",
-                &status);
-  EXPECT_EQ(status, 405);
+  // Routing: wrong path → 404, wrong method on a known path → 405. The
+  // server closes after `Connection: close`; the client reconnects.
+  EXPECT_EQ(Exchange(client, "POST", "/nope", "{}").status, 404);
+  EXPECT_EQ(Exchange(client, "GET", "/v1/predict", "",
+                     {{"Connection", "close"}})
+                .status,
+            405);
 
   // Health and metrics endpoints respond with the bundle identity and the
   // cache/batcher counters this test just exercised.
-  std::string health = HttpRoundTrip(server.port(),
-                                     "GET /healthz HTTP/1.1\r\nHost: t\r\n"
-                                     "Connection: close\r\n\r\n",
-                                     &status);
-  EXPECT_EQ(status, 200);
-  const json::JsonValue health_json = ParseBody(health);
+  const HttpReply health = Exchange(client, "GET", "/healthz");
+  EXPECT_EQ(health.status, 200);
+  const json::JsonValue health_json = ParseBody(health.body);
   const json::JsonValue* model = health_json.Find("model");
-  ASSERT_NE(model, nullptr) << health;
+  ASSERT_NE(model, nullptr) << health.body;
   EXPECT_EQ(model->text, "ST-HSL");
   // Non-finite registry values must still yield valid JSON: null.
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetGauge("test/nan_gauge").Set(std::nan(""));
   registry.GetHistogram("test/inf_histogram")
       .Record(std::numeric_limits<double>::infinity());
-  std::string metrics = HttpRoundTrip(server.port(),
-                                      "GET /metrics HTTP/1.1\r\nHost: t\r\n"
-                                      "Connection: close\r\n\r\n",
-                                      &status);
-  EXPECT_EQ(status, 200);
-  const json::JsonValue metrics_json = ParseBody(metrics);
+  const HttpReply metrics = Exchange(client, "GET", "/metrics");
+  EXPECT_EQ(metrics.status, 200);
+  const json::JsonValue metrics_json = ParseBody(metrics.body);
   EXPECT_NE(metrics_json.Find("cache"), nullptr);
   EXPECT_NE(metrics_json.Find("batcher"), nullptr);
   // Scrapes refresh and embed the execution-pool telemetry.
@@ -760,12 +767,9 @@ TEST(ServeLoopbackTest, EndToEndMatchesDirectPredictBitwise) {
       metrics_json.Find("histograms")->Find("test/inf_histogram");
   ASSERT_NE(inf_histogram, nullptr);
   EXPECT_TRUE(inf_histogram->Find("p99")->Is(json::JsonValue::Kind::kNull));
-  std::string statusz = HttpRoundTrip(server.port(),
-                                      "GET /statusz HTTP/1.1\r\nHost: t\r\n"
-                                      "Connection: close\r\n\r\n",
-                                      &status);
-  EXPECT_EQ(status, 200);
-  const json::JsonValue statusz_json = ParseBody(statusz);
+  const HttpReply statusz = Exchange(client, "GET", "/statusz");
+  EXPECT_EQ(statusz.status, 200);
+  const json::JsonValue statusz_json = ParseBody(statusz.body);
   const json::JsonValue* exec = statusz_json.Find("exec");
   ASSERT_NE(exec, nullptr);
   EXPECT_NE(exec->Find("chunks_executed"), nullptr);
@@ -805,49 +809,44 @@ TEST(ServeLoopbackTest, TraceparentRoundTripAndAccessLogExactlyOnce) {
   }
   body += "]}";
 
+  HttpClient client("127.0.0.1", server.port());
+
   // 1. Client-sent traceparent comes back with the same trace id (and the
   //    trace id appears in the JSON body).
   const std::string client_trace = "4bf92f3577b34da6a3ce929d0e0e4736";
   const std::string sent = "00-" + client_trace + "-00f067aa0ba902b7-01";
-  std::string raw = HttpRoundTripRaw(
-      server.port(),
-      "POST /v1/predict HTTP/1.1\r\nHost: t\r\ntraceparent: " + sent +
-          "\r\nContent-Length: " + std::to_string(body.size()) +
-          "\r\nConnection: close\r\n\r\n" + body);
-  EXPECT_NE(raw.find("HTTP/1.1 200"), std::string::npos) << raw;
-  std::string echoed = ResponseHeader(raw, "traceparent");
-  ASSERT_EQ(echoed.size(), 55u) << raw;
+  HttpReply reply =
+      Exchange(client, "POST", "/v1/predict", body, {{"traceparent", sent}});
+  EXPECT_EQ(reply.status, 200) << reply.body;
+  EXPECT_TRUE(reply.trace_echoed);
+  std::string echoed = reply.Header("traceparent");
+  ASSERT_EQ(echoed.size(), 55u) << reply.body;
   EXPECT_EQ(echoed.substr(3, 32), client_trace);
   EXPECT_NE(echoed.substr(36, 16), "00f067aa0ba902b7");  // fresh span id
-  const json::JsonValue reply = ParseBody(RawBody(raw));
-  const json::JsonValue* trace_id = reply.Find("trace_id");
-  ASSERT_NE(trace_id, nullptr) << raw;
+  const json::JsonValue reply_json = ParseBody(reply.body);
+  const json::JsonValue* trace_id = reply_json.Find("trace_id");
+  ASSERT_NE(trace_id, nullptr) << reply.body;
   EXPECT_EQ(trace_id->text, client_trace);
 
   // 2. A malformed traceparent is rejected: the response carries a freshly
   //    generated trace id instead of echoing the bad one.
-  raw = HttpRoundTripRaw(
-      server.port(),
-      "POST /v1/predict HTTP/1.1\r\nHost: t\r\ntraceparent: bogus\r\n"
-      "Content-Length: " +
-          std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
-          body);
-  EXPECT_NE(raw.find("HTTP/1.1 200"), std::string::npos) << raw;
-  echoed = ResponseHeader(raw, "traceparent");
+  reply = Exchange(client, "POST", "/v1/predict", body,
+                   {{"traceparent", "bogus"}});
+  EXPECT_EQ(reply.status, 200) << reply.body;
+  EXPECT_FALSE(reply.trace_echoed);
+  echoed = reply.Header("traceparent");
   ASSERT_EQ(echoed.size(), 55u);
   EXPECT_NE(echoed.substr(3, 32), client_trace);
   EXPECT_NE(echoed.substr(3, 32), std::string(32, '0'));
 
   // 3. Non-predict and error responses also echo a traceparent.
-  raw = HttpRoundTripRaw(server.port(),
-                         "GET /healthz HTTP/1.1\r\nHost: t\r\n"
-                         "Connection: close\r\n\r\n");
-  EXPECT_EQ(ResponseHeader(raw, "traceparent").size(), 55u);
-  raw = HttpRoundTripRaw(server.port(),
-                         "GET /nope HTTP/1.1\r\nHost: t\r\n"
-                         "Connection: close\r\n\r\n");
-  EXPECT_NE(raw.find("HTTP/1.1 404"), std::string::npos);
-  EXPECT_EQ(ResponseHeader(raw, "traceparent").size(), 55u);
+  reply = Exchange(client, "GET", "/healthz");
+  EXPECT_EQ(reply.Header("traceparent").size(), 55u);
+  EXPECT_TRUE(reply.trace_echoed);
+  reply = Exchange(client, "GET", "/nope");
+  EXPECT_EQ(reply.status, 404);
+  EXPECT_EQ(reply.Header("traceparent").size(), 55u);
+  EXPECT_TRUE(reply.trace_echoed);
 
   server.Drain();
   engine.Shutdown();
@@ -940,23 +939,15 @@ TEST(HttpServerTest, DrainClosesConnectionWithHalfReceivedRequest) {
     return response;
   });
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
-  const int fd = ConnectLoopback(server.port());
-  auto send_text = [fd](const std::string& text) {
-    EXPECT_EQ(::send(fd, text.data(), text.size(), 0),
-              static_cast<ssize_t>(text.size()));
-  };
   // One full keep-alive exchange first, so the server holds the connection
   // in a handler thread before the partial request arrives.
-  send_text("GET /ping HTTP/1.1\r\nHost: t\r\n\r\n");
-  std::string response;
-  char chunk[1024];
-  while (!response.ends_with("{}")) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    ASSERT_GT(n, 0) << response;
-    response.append(chunk, static_cast<size_t>(n));
-  }
+  HttpClient client("127.0.0.1", server.port());
+  const HttpReply ping = Exchange(client, "GET", "/ping");
+  ASSERT_EQ(ping.body, "{}");
   // 3 of the 10 declared body bytes, then silence.
-  send_text("POST /v1/predict HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
+  const std::string partial =
+      "POST /v1/predict HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+  ASSERT_TRUE(client.SendRaw(partial).ok());
 
   std::future<void> drained =
       std::async(std::launch::async, [&server] { server.Drain(); });
@@ -965,7 +956,7 @@ TEST(HttpServerTest, DrainClosesConnectionWithHalfReceivedRequest) {
       << "Drain still waits on a connection holding a partial request";
   // Closing the client end releases a server that did not give up by
   // itself, so a failing run ends instead of hanging.
-  ::close(fd);
+  client.Close();
   drained.get();
 }
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/json_mini.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -207,6 +208,27 @@ TEST(TimerTest, ElapsedUnitsAgree) {
   // Micros read slightly later than seconds; both measure the same clock.
   EXPECT_GE(micros, seconds * 1e6);
   EXPECT_LT(micros, (seconds + 0.1) * 1e6);
+}
+
+TEST(ParseIntFlagTest, AcceptsOnlyWholeIntegersInRange) {
+  EXPECT_EQ(ParseIntFlag("--n", "42", 0, 100).value(), 42);
+  EXPECT_EQ(ParseIntFlag("--n", "-7", -10, 10).value(), -7);
+  EXPECT_EQ(ParseIntFlag("--n", "0", 0, 0).value(), 0);
+  for (const char* text : {"", "abc", "12x", " 12", "12 ", "+5", "1.5",
+                           "0x10"}) {
+    const Result<int64_t> parsed = ParseIntFlag("--n", text, -100, 100);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              "--n must be an integer, got '" + std::string(text) + "'");
+  }
+  // Out of range, including values past int64_t that strtoll would clamp.
+  for (const char* text : {"101", "-101", "70000", "99999999999999999999"}) {
+    const Result<int64_t> parsed = ParseIntFlag("PORT", text, -100, 100);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().message(),
+              "PORT must be in [-100, 100], got " + std::string(text));
+  }
 }
 
 TEST(CsvTest, SplitPlainLine) {

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -31,6 +32,8 @@
 #include "exec/exec.h"
 #include "nn/serialization.h"
 #include "serve/bundle.h"
+#include "util/build_info.h"
+#include "util/flags.h"
 #include "util/obs/calibrate.h"
 #include "util/obs/obs.h"
 
@@ -46,9 +49,20 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
+  // A value that is not a whole integer in [min, max] is refused like
+  // BadArgs does: the message, then exit code 2.
+  int64_t GetInt(const std::string& key, int64_t fallback,
+                 int64_t min = std::numeric_limits<int64_t>::min(),
+                 int64_t max = std::numeric_limits<int64_t>::max()) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atoll(it->second.c_str());
+    if (it == options.end()) return fallback;
+    const Result<int64_t> value =
+        ParseIntFlag("--" + key, it->second, min, max);
+    if (!value.ok()) {
+      std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
+      std::exit(2);
+    }
+    return value.value();
   }
 };
 
@@ -278,21 +292,6 @@ int CmdForecast(const Args& args) {
   return 0;
 }
 
-// Runs `git rev-parse HEAD` so bundles record which tree produced them;
-// "unknown" when git (or a repo) is unavailable, e.g. from an installed tree.
-std::string GitHashOrUnknown() {
-  std::string hash;
-  if (FILE* pipe = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[64];
-    if (std::fgets(buf, sizeof buf, pipe) != nullptr) hash = buf;
-    pclose(pipe);
-  }
-  while (!hash.empty() && (hash.back() == '\n' || hash.back() == '\r')) {
-    hash.pop_back();
-  }
-  return hash.empty() ? "unknown" : hash;
-}
-
 int CmdExportBundle(const Args& args) {
   auto config_or = ConfigFromArgs(args);
   if (!config_or.ok()) return BadArgs(config_or.status());
@@ -320,7 +319,7 @@ int CmdExportBundle(const Args& args) {
   provenance.city = data.city_name();
   provenance.category_names = data.category_names();
   provenance.generator_seed = args.GetInt("gen-seed", -1);
-  provenance.git_hash = GitHashOrUnknown();
+  provenance.git_hash = GitHash();
   provenance.tool = "sthsl_cli export-bundle";
   status = serve::WriteBundle(model, out, provenance);
   if (!status.ok()) {
@@ -488,7 +487,8 @@ int main(int argc, char** argv) {
   // Kernel thread count: flag wins over the STHSL_THREADS environment
   // variable (which the exec layer reads on first use).
   if (args.options.count("threads")) {
-    exec::SetThreadCount(static_cast<int>(args.GetInt("threads", 0)));
+    exec::SetThreadCount(
+        static_cast<int>(args.GetInt("threads", 0, 1, 1024)));
   }
   // Observability flags: either one switches tracing on; the files are
   // written by the process-exit flush.

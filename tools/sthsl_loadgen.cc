@@ -20,41 +20,35 @@
 // On completion it prints QPS and latency percentiles, writes them as JSON
 // to --out (client numbers plus the scraped server stats under "server"),
 // and exits non-zero if any request failed or QPS fell below --min-qps —
-// which is what the CI smoke job gates on.
+// which is what the CI smoke job gates on. Requests go through
+// serve::HttpClient; client latencies land in one obs::LogHistogram, so the
+// percentiles carry its bounded (~3.1%) relative error and the mean is exact.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "serve/bundle.h"
+#include "serve/http.h"
+#include "util/flags.h"
 #include "util/json_mini.h"
+#include "util/obs/log_histogram.h"
 
 namespace {
 
 struct Options {
   std::string bundle_dir;
   std::string host = "127.0.0.1";
-  int port = 8080;
-  int connections = 4;
+  int64_t port = 8080;
+  int64_t connections = 4;
   double seconds = 5.0;
-  int distinct_windows = 16;
+  int64_t distinct_windows = 16;
   double min_qps = 0.0;
   std::string out = "BENCH_serve.json";
 };
@@ -68,101 +62,23 @@ int Usage() {
   return 2;
 }
 
-// One blocking client connection. Minimal on purpose: the only server it
-// must talk to is sthsl_serve, which always answers with Content-Length.
-class Connection {
- public:
-  ~Connection() { Close(); }
-
-  bool Open(const std::string& host, int port) {
-    Close();
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      Close();
-      return false;
-    }
-    return true;
+// Parses integer flag `flag` into `*out`; false, with the reason on stderr,
+// when `value` is not a whole integer in [min, max].
+bool IntFlag(const std::string& flag, const std::string& value, int64_t min,
+             int64_t max, int64_t* out) {
+  const sthsl::Result<int64_t> parsed =
+      sthsl::ParseIntFlag(flag, value, min, max);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    return false;
   }
-
-  void Close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  bool connected() const { return fd_ >= 0; }
-
-  // Writes one buffer fully; workers send the per-request header block and
-  // the pre-rendered body as two buffers to avoid copying the body just to
-  // splice in a fresh traceparent header.
-  bool SendAll(const std::string& data) {
-    if (fd_ < 0) return false;
-    size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent, 0);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  // Reads one response; fills `status` and `body`, and when `head` is
-  // non-null the raw header block (for traceparent echo checks).
-  bool ReadResponse(int* status, std::string* body, std::string* head_out) {
-    // Read until the header block is complete, then until Content-Length
-    // bytes of body have arrived. Leftover bytes stay in buffer_ for the
-    // next response on this keep-alive connection.
-    size_t header_end;
-    while ((header_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
-      if (!Fill()) return false;
-    }
-    const std::string head = buffer_.substr(0, header_end);
-    if (head_out != nullptr) *head_out = head;
-    if (std::sscanf(head.c_str(), "HTTP/1.1 %d", status) != 1) return false;
-    size_t content_length = 0;
-    std::string lower(head);
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    const size_t cl = lower.find("content-length:");
-    if (cl != std::string::npos) {
-      content_length = std::strtoul(head.c_str() + cl + 15, nullptr, 10);
-    }
-    const size_t body_start = header_end + 4;
-    while (buffer_.size() < body_start + content_length) {
-      if (!Fill()) return false;
-    }
-    *body = buffer_.substr(body_start, content_length);
-    buffer_.erase(0, body_start + content_length);
-    return true;
-  }
-
-  // Sends one request and reads one response; fills `status` and `body`.
-  bool RoundTrip(const std::string& request, int* status, std::string* body) {
-    return SendAll(request) && ReadResponse(status, body, nullptr);
-  }
-
- private:
-  bool Fill() {
-    char chunk[16384];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return true;
-  }
-
-  int fd_ = -1;
-  std::string buffer_;
-};
+  *out = parsed.value();
+  return true;
+}
 
 // Deterministic non-negative "crime counts" so re-runs hit the same cache
 // keys; index k yields a window distinct from every other k.
-std::string RenderPredictBody(const std::vector<int64_t>& shape, int k) {
+std::string RenderPredictBody(const std::vector<int64_t>& shape, int64_t k) {
   int64_t numel = 1;
   for (int64_t extent : shape) numel *= extent;
   sthsl::json::JsonWriter json;
@@ -176,75 +92,6 @@ std::string RenderPredictBody(const std::vector<int64_t>& shape, int k) {
   return std::move(json).str();
 }
 
-std::string RenderRequest(const std::string& host, const std::string& target,
-                          const std::string& body) {
-  std::string request = body.empty() ? "GET " : "POST ";
-  request += target + " HTTP/1.1\r\nHost: " + host + "\r\n";
-  if (!body.empty()) {
-    request += "Content-Type: application/json\r\nContent-Length: " +
-               std::to_string(body.size()) + "\r\n";
-  }
-  request += "Connection: keep-alive\r\n\r\n" + body;
-  return request;
-}
-
-// Header block for a predict POST, left open so the worker can append its
-// per-request traceparent line plus the terminating blank line, then send
-// the (shared, pre-rendered) body as a second buffer.
-std::string RenderPredictHead(const std::string& host, size_t body_size) {
-  return "POST /v1/predict HTTP/1.1\r\nHost: " + host +
-         "\r\nContent-Type: application/json\r\nContent-Length: " +
-         std::to_string(body_size) + "\r\nConnection: keep-alive\r\n";
-}
-
-// Per-worker deterministic trace-id source (splitmix64). Distinct workers
-// seed from their index so ids never collide within a run.
-struct TraceIdSource {
-  uint64_t state;
-  uint64_t Next() {
-    uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z = z ^ (z >> 31);
-    return z != 0 ? z : 1;
-  }
-  std::string HexId(int hex_digits) {
-    static const char* kDigits = "0123456789abcdef";
-    std::string id(static_cast<size_t>(hex_digits), '0');
-    for (int filled = 0; filled < hex_digits; filled += 16) {
-      uint64_t value = Next();
-      for (int i = 0; i < 16 && filled + i < hex_digits; ++i) {
-        id[static_cast<size_t>(filled + i)] =
-            kDigits[(value >> (60 - 4 * i)) & 0xF];
-      }
-    }
-    return id;
-  }
-};
-
-// Case-insensitive single-header lookup in a raw response header block.
-std::string HeaderValue(const std::string& head, const std::string& name) {
-  std::string lower(head);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  const std::string needle = "\r\n" + name + ":";
-  const size_t at = lower.find(needle);
-  if (at == std::string::npos) return "";
-  size_t begin = at + needle.size();
-  while (begin < head.size() && head[begin] == ' ') ++begin;
-  size_t end = head.find("\r\n", begin);
-  if (end == std::string::npos) end = head.size();
-  return head.substr(begin, end - begin);
-}
-
-double Percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  // Nearest-rank, matching obs::MetricsRegistry histogram percentiles.
-  const size_t rank = static_cast<size_t>(
-      std::max(1.0, std::ceil(p / 100.0 * sorted_us.size())));
-  return sorted_us[std::min(rank, sorted_us.size()) - 1];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,21 +99,24 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string arg = argv[i];
     const std::string value = argv[i + 1];
+    bool ok = true;
     if (arg == "--bundle") opts.bundle_dir = value;
     else if (arg == "--host") opts.host = value;
-    else if (arg == "--port") opts.port = std::atoi(value.c_str());
-    else if (arg == "--connections") opts.connections = std::atoi(value.c_str());
+    else if (arg == "--port") ok = IntFlag(arg, value, 1, 65535, &opts.port);
+    else if (arg == "--connections")
+      ok = IntFlag(arg, value, 1, 1024, &opts.connections);
     else if (arg == "--seconds") opts.seconds = std::atof(value.c_str());
     else if (arg == "--distinct-windows")
-      opts.distinct_windows = std::atoi(value.c_str());
+      ok = IntFlag(arg, value, 1, 1 << 20, &opts.distinct_windows);
     else if (arg == "--min-qps") opts.min_qps = std::atof(value.c_str());
     else if (arg == "--out") opts.out = value;
     else return Usage();
+    if (!ok) return 2;
   }
-  if (opts.bundle_dir.empty() || opts.connections < 1 ||
-      opts.distinct_windows < 1 || opts.seconds <= 0 || argc % 2 == 0) {
+  if (opts.bundle_dir.empty() || opts.seconds <= 0 || argc % 2 == 0) {
     return Usage();
   }
+  const int port = static_cast<int>(opts.port);
 
   auto manifest_or = sthsl::serve::ReadManifest(opts.bundle_dir);
   if (!manifest_or.ok()) {
@@ -279,87 +129,60 @@ int main(int argc, char** argv) {
   // Wait for the server to come up: /healthz must answer 200 within ~10s.
   {
     bool healthy = false;
-    const std::string probe = RenderRequest(opts.host, "/healthz", "");
+    sthsl::serve::HttpClient probe(opts.host, port);
     for (int attempt = 0; attempt < 100 && !healthy; ++attempt) {
-      Connection probe_conn;
-      int status = 0;
-      std::string body;
-      if (probe_conn.Open(opts.host, opts.port) &&
-          probe_conn.RoundTrip(probe, &status, &body) && status == 200) {
-        healthy = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      const auto reply = probe.Request("GET", "/healthz");
+      healthy = reply.ok() && reply.value().status == 200;
+      if (!healthy) std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
     if (!healthy) {
       std::fprintf(stderr, "server %s:%d did not become healthy within 10s\n",
-                   opts.host.c_str(), opts.port);
+                   opts.host.c_str(), port);
       return 1;
     }
   }
 
-  // Pre-render one body (and its open-ended header block) per distinct
-  // window; workers cycle the bodies and append a fresh traceparent line
-  // per request.
+  // Pre-render one body per distinct window; workers cycle through them.
   std::vector<std::string> bodies;
-  std::vector<std::string> heads;
-  bodies.reserve(opts.distinct_windows);
-  heads.reserve(opts.distinct_windows);
-  for (int k = 0; k < opts.distinct_windows; ++k) {
+  for (int64_t k = 0; k < opts.distinct_windows; ++k) {
     bodies.push_back(RenderPredictBody(shape, k));
-    heads.push_back(RenderPredictHead(opts.host, bodies.back().size()));
   }
 
-  std::atomic<uint64_t> total_requests{0};
   std::atomic<uint64_t> total_errors{0};
   std::atomic<uint64_t> trace_mismatches{0};
   std::atomic<uint64_t> cache_hits{0};
-  std::vector<std::vector<double>> per_thread_latencies(opts.connections);
+  sthsl::obs::LogHistogram latency_us;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(opts.seconds);
   const auto bench_start = std::chrono::steady_clock::now();
 
   std::vector<std::thread> workers;
-  for (int w = 0; w < opts.connections; ++w) {
+  for (int64_t w = 0; w < opts.connections; ++w) {
     workers.emplace_back([&, w] {
-      Connection conn;
-      if (!conn.Open(opts.host, opts.port)) {
+      sthsl::serve::HttpClient client(opts.host, port);
+      if (!client.Connect().ok()) {
         total_errors.fetch_add(1);
         return;
       }
-      std::vector<double>& latencies = per_thread_latencies[w];
-      TraceIdSource ids{0x5354u + static_cast<uint64_t>(w) * 0x100000001b3ULL};
       // Offset each worker's cycle so they don't all hammer window 0 at once.
       size_t next = static_cast<size_t>(w) % bodies.size();
       while (std::chrono::steady_clock::now() < deadline) {
-        const std::string trace_id = ids.HexId(32);
-        const std::string header_block = heads[next] + "traceparent: 00-" +
-                                         trace_id + "-" + ids.HexId(16) +
-                                         "-01\r\n\r\n";
         const auto start = std::chrono::steady_clock::now();
-        int status = 0;
-        std::string body;
-        std::string response_head;
-        if (!conn.SendAll(header_block) || !conn.SendAll(bodies[next]) ||
-            !conn.ReadResponse(&status, &body, &response_head) ||
-            status != 200) {
+        const auto reply = client.Request("POST", "/v1/predict", bodies[next]);
+        if (!reply.ok() || reply.value().status != 200) {
           total_errors.fetch_add(1);
-          if (!conn.connected() || !conn.Open(opts.host, opts.port)) return;
+          if (!client.Connect().ok()) return;
           continue;
         }
-        const auto end = std::chrono::steady_clock::now();
+        latency_us.Record(std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
         // The server must echo our trace id (with its own span id); a
         // mismatch means request-scoped tracing is broken and the run fails.
-        const std::string echoed = HeaderValue(response_head, "traceparent");
-        if (echoed.size() != 55 || echoed.substr(3, 32) != trace_id) {
-          trace_mismatches.fetch_add(1);
-        }
-        latencies.push_back(
-            std::chrono::duration<double, std::micro>(end - start).count());
-        total_requests.fetch_add(1);
-        sthsl::json::JsonValue reply;
-        if (sthsl::json::JsonParser(body).Parse(&reply, nullptr)) {
-          const sthsl::json::JsonValue* hit = reply.FindOfKind(
+        if (!reply.value().trace_echoed) trace_mismatches.fetch_add(1);
+        sthsl::json::JsonValue body;
+        if (sthsl::json::JsonParser(reply.value().body).Parse(&body, nullptr)) {
+          const sthsl::json::JsonValue* hit = body.FindOfKind(
               "cache_hit", sthsl::json::JsonValue::Kind::kBool);
           if (hit != nullptr && hit->boolean) cache_hits.fetch_add(1);
         }
@@ -373,23 +196,10 @@ int main(int argc, char** argv) {
                                     bench_start)
           .count();
 
-  std::vector<double> latencies;
-  for (const auto& chunk : per_thread_latencies) {
-    latencies.insert(latencies.end(), chunk.begin(), chunk.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  const uint64_t ok = total_requests.load();
+  const sthsl::obs::Histogram::Snapshot latency = latency_us.GetSnapshot();
+  const uint64_t ok = static_cast<uint64_t>(latency.count);
   const uint64_t errors = total_errors.load();
   const double qps = elapsed > 0 ? static_cast<double>(ok) / elapsed : 0.0;
-  const double p50 = Percentile(latencies, 50.0);
-  const double p95 = Percentile(latencies, 95.0);
-  const double p99 = Percentile(latencies, 99.0);
-  const double mean =
-      latencies.empty()
-          ? 0.0
-          : std::accumulate(latencies.begin(), latencies.end(), 0.0) /
-                static_cast<double>(latencies.size());
-
   const uint64_t mismatches = trace_mismatches.load();
   std::printf(
       "sthsl_loadgen: %llu ok, %llu errors, %llu trace mismatches in %.2fs "
@@ -398,8 +208,9 @@ int main(int argc, char** argv) {
       "cache hits %llu\n",
       static_cast<unsigned long long>(ok),
       static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(mismatches), elapsed, opts.connections,
-      qps, mean, p50, p95, p99,
+      static_cast<unsigned long long>(mismatches), elapsed,
+      static_cast<int>(opts.connections), qps, latency.mean, latency.p50,
+      latency.p95, latency.p99,
       static_cast<unsigned long long>(cache_hits.load()));
 
   // Scrape the server's own view: GET /metrics (JSON) and pull out the
@@ -408,16 +219,12 @@ int main(int argc, char** argv) {
   // the stage rows split the server total further.
   std::vector<std::pair<std::string, sthsl::json::JsonValue>> server_stats;
   {
-    Connection scrape;
-    int status = 0;
-    std::string metrics_body;
-    if (scrape.Open(opts.host, opts.port) &&
-        scrape.RoundTrip(RenderRequest(opts.host, "/metrics", ""), &status,
-                         &metrics_body) &&
-        status == 200) {
+    const auto scrape =
+        sthsl::serve::HttpClient(opts.host, port).Request("GET", "/metrics");
+    if (scrape.ok() && scrape.value().status == 200) {
       sthsl::json::JsonValue metrics;
       std::string error;
-      sthsl::json::JsonParser parser(metrics_body);
+      sthsl::json::JsonParser parser(scrape.value().body);
       if (parser.Parse(&metrics, &error)) {
         const sthsl::json::JsonValue* histograms = metrics.FindOfKind(
             "histograms", sthsl::json::JsonValue::Kind::kObject);
@@ -442,8 +249,8 @@ int main(int argc, char** argv) {
     std::printf("    %-28s %8s %8s %8s %8s %8s\n", "histogram", "count",
                 "mean", "p50", "p95", "p99");
     std::printf("    %-28s %8llu %8.0f %8.0f %8.0f %8.0f  (client-measured)\n",
-                "round_trip", static_cast<unsigned long long>(ok), mean, p50,
-                p95, p99);
+                "round_trip", static_cast<unsigned long long>(ok),
+                latency.mean, latency.p50, latency.p95, latency.p99);
     for (const auto& [name, snapshot] : server_stats) {
       const auto field = [&snapshot](const char* key) {
         const sthsl::json::JsonValue* value = snapshot.Find(key);
@@ -461,8 +268,9 @@ int main(int argc, char** argv) {
   json.Key("requests").Int(ok).Key("errors").Int(errors);
   json.Key("trace_mismatches").Int(mismatches);
   json.Key("cache_hits").Int(cache_hits.load()).Key("qps").Number(qps);
-  json.Key("latency_us").BeginObject().Key("mean").Number(mean);
-  json.Key("p50").Number(p50).Key("p95").Number(p95).Key("p99").Number(p99);
+  json.Key("latency_us").BeginObject().Key("mean").Number(latency.mean);
+  json.Key("p50").Number(latency.p50).Key("p95").Number(latency.p95);
+  json.Key("p99").Number(latency.p99);
   json.EndObject().Key("server").BeginObject();
   for (const auto& [name, snapshot] : server_stats) {
     json.Key(name).BeginObject();

@@ -26,6 +26,7 @@
 #include "serve/engine.h"
 #include "serve/http.h"
 #include "serve/service.h"
+#include "util/flags.h"
 #include "util/logging.h"
 
 namespace {
@@ -61,73 +62,78 @@ int Usage() {
   return 2;
 }
 
-std::string OptionOrEnv(const std::string& flag_value, const char* env_name,
-                        const std::string& fallback) {
-  if (!flag_value.empty()) return flag_value;
-  const char* env = std::getenv(env_name);
-  if (env != nullptr && env[0] != '\0') return env;
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string bundle_dir, host, port, threads, exec_threads, max_batch,
-      max_wait_us, cache_entries, cache_shards;
-  struct FlagTarget {
-    const char* name;
-    std::string* value;
-  } flags[] = {
-      {"--bundle", &bundle_dir},         {"--host", &host},
-      {"--port", &port},                 {"--threads", &threads},
-      {"--exec-threads", &exec_threads}, {"--max-batch", &max_batch},
-      {"--max-wait-us", &max_wait_us},   {"--cache-entries", &cache_entries},
-      {"--cache-shards", &cache_shards},
+  // Integer options keep EngineConfig's defaults unless the flag, else the
+  // environment variable, sets them. Every value is range-checked before
+  // the bundle loads; a bad one names its source and exits 2.
+  sthsl::serve::EngineConfig config;
+  int64_t port = 8080;
+  int64_t exec_threads = 0;  // 0: hardware threads / workers, see below
+  struct IntOption {
+    const char* flag;
+    const char* env;
+    int64_t min, max;
+    int64_t* out;
+    const char* flag_value = nullptr;
+  } options[] = {
+      {"--port", "STHSL_SERVE_PORT", 0, 65535, &port},
+      {"--threads", "STHSL_SERVE_THREADS", 1, 1024,
+       &config.batcher.worker_threads},
+      {"--exec-threads", "STHSL_SERVE_EXEC_THREADS", 1, 1024, &exec_threads},
+      {"--max-batch", "STHSL_SERVE_MAX_BATCH", 1, 65536,
+       &config.batcher.max_batch_size},
+      {"--max-wait-us", "STHSL_SERVE_MAX_WAIT_US", 0, 60'000'000,
+       &config.batcher.max_wait_us},
+      {"--cache-entries", "STHSL_SERVE_CACHE_ENTRIES", 0, int64_t{1} << 30,
+       &config.cache_entries},
+      {"--cache-shards", "STHSL_SERVE_CACHE_SHARDS", 1, 1024,
+       &config.cache_shards},
   };
+  std::string bundle_dir;
+  const char* host = std::getenv("STHSL_SERVE_HOST");
   for (int i = 1; i + 1 < argc; i += 2) {
-    bool known = false;
-    for (auto& flag : flags) {
-      if (std::strcmp(argv[i], flag.name) == 0) {
-        *flag.value = argv[i + 1];
-        known = true;
-        break;
-      }
+    if (std::strcmp(argv[i], "--bundle") == 0) {
+      bundle_dir = argv[i + 1];
+    } else if (std::strcmp(argv[i], "--host") == 0) {
+      host = argv[i + 1];
+    } else {
+      IntOption* option = std::find_if(
+          std::begin(options), std::end(options), [&](const IntOption& o) {
+            return std::strcmp(argv[i], o.flag) == 0;
+          });
+      if (option == std::end(options)) return Usage();
+      option->flag_value = argv[i + 1];
     }
-    if (!known) return Usage();
   }
   if (argc % 2 == 0) return Usage();  // dangling flag without a value
   if (bundle_dir.empty()) return Usage();
-
-  using sthsl::serve::EngineConfig;
-  EngineConfig config;
   const std::string host_value =
-      OptionOrEnv(host, "STHSL_SERVE_HOST", "127.0.0.1");
-  const int port_value =
-      std::atoi(OptionOrEnv(port, "STHSL_SERVE_PORT", "8080").c_str());
-  config.batcher.worker_threads =
-      std::atoll(OptionOrEnv(threads, "STHSL_SERVE_THREADS", "2").c_str());
-  config.batcher.max_batch_size =
-      std::atoll(OptionOrEnv(max_batch, "STHSL_SERVE_MAX_BATCH", "8").c_str());
-  config.batcher.max_wait_us = std::atoll(
-      OptionOrEnv(max_wait_us, "STHSL_SERVE_MAX_WAIT_US", "2000").c_str());
-  config.cache_entries = std::atoll(
-      OptionOrEnv(cache_entries, "STHSL_SERVE_CACHE_ENTRIES", "1024").c_str());
-  config.cache_shards = std::atoll(
-      OptionOrEnv(cache_shards, "STHSL_SERVE_CACHE_SHARDS", "8").c_str());
+      host != nullptr && host[0] != '\0' ? host : "127.0.0.1";
+  for (const IntOption& option : options) {
+    const bool from_flag = option.flag_value != nullptr;
+    const char* text = from_flag ? option.flag_value : std::getenv(option.env);
+    if (text == nullptr || text[0] == '\0') continue;
+    const sthsl::Result<int64_t> value = sthsl::ParseIntFlag(
+        from_flag ? option.flag : option.env, text, option.min, option.max);
+    if (!value.ok()) {
+      std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
+      return 2;
+    }
+    *option.out = value.value();
+  }
 
   // Kernel threads compose with the batcher workers: each worker drives the
   // shared kernel pool, so default the pool to hardware / workers to avoid
   // oversubscription. Explicit settings (flag, STHSL_SERVE_EXEC_THREADS,
   // then a plain STHSL_THREADS) win over the computed default.
-  const std::string exec_threads_value =
-      OptionOrEnv(exec_threads, "STHSL_SERVE_EXEC_THREADS", "");
-  if (!exec_threads_value.empty()) {
-    sthsl::exec::SetThreadCount(std::atoi(exec_threads_value.c_str()));
+  if (exec_threads > 0) {
+    sthsl::exec::SetThreadCount(static_cast<int>(exec_threads));
   } else if (std::getenv("STHSL_THREADS") == nullptr) {
-    const int workers = std::max(1, static_cast<int>(
-        config.batcher.worker_threads));
-    sthsl::exec::SetThreadCount(
-        std::max(1, sthsl::exec::HardwareThreadCount() / workers));
+    sthsl::exec::SetThreadCount(std::max(
+        1, sthsl::exec::HardwareThreadCount() /
+               static_cast<int>(config.batcher.worker_threads)));
   }
 
   auto bundle_or = sthsl::serve::LoadBundle(bundle_dir);
@@ -148,7 +154,7 @@ int main(int argc, char** argv) {
   sthsl::serve::HttpServer server;
   service.Register(&server);
 
-  sthsl::Status started = server.Start(host_value, port_value);
+  sthsl::Status started = server.Start(host_value, static_cast<int>(port));
   if (!started.ok()) {
     std::fprintf(stderr, "cannot start server: %s\n",
                  started.ToString().c_str());
