@@ -1,5 +1,6 @@
 #include "exec/exec.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <mutex>
 #include <thread>
 
+#include "util/flags.h"
 #include "util/obs/metrics.h"
 #include "util/obs/obs.h"
 
@@ -56,14 +58,11 @@ thread_local int t_worker_slot = -1;
 // tools can SetThreadCount before any kernel runs.
 std::atomic<int> g_thread_count{0};
 
+// Accepts the same range as the tools' --threads flags; the pool clamps it.
 int ResolveThreadCountFromEnv() {
-  if (const char* env = std::getenv("STHSL_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) {
-      return parsed > kMaxThreads ? kMaxThreads : static_cast<int>(parsed);
-    }
-  }
-  return HardwareThreadCount();
+  const int64_t count =
+      EnvIntOr("STHSL_THREADS", HardwareThreadCount(), 1, 1024);
+  return static_cast<int>(std::min<int64_t>(count, kMaxThreads));
 }
 
 // True while this thread executes a chunk of a parallel region; nested

@@ -2,31 +2,25 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
+#include "util/flags.h"
 #include "util/json_mini.h"
 #include "util/logging.h"
 
 namespace sthsl::serve {
-namespace {
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  const int64_t parsed = std::atoll(value);
-  return parsed > 0 ? parsed : fallback;
-}
-
-}  // namespace
-
 AccessLog& AccessLog::Global() {
   static AccessLog* log = [] {
     auto* instance = new AccessLog();
     const char* path = std::getenv("STHSL_ACCESS_LOG");
     if (path != nullptr && path[0] != '\0') {
       instance->Configure(
-          path, EnvInt64("STHSL_ACCESS_LOG_MAX_BYTES", int64_t{64} << 20),
-          static_cast<double>(EnvInt64("STHSL_SLOW_REQUEST_US", 0)));
+          path,
+          EnvIntOr("STHSL_ACCESS_LOG_MAX_BYTES", int64_t{64} << 20, 1,
+                   std::numeric_limits<int64_t>::max()),
+          static_cast<double>(EnvIntOr("STHSL_SLOW_REQUEST_US", 0, 0,
+                                       std::numeric_limits<int64_t>::max())));
     }
     return instance;
   }();

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/check.h"
-#include "util/obs/log_histogram.h"
 #include "util/obs/metrics.h"
 #include "util/timer.h"
 
@@ -22,9 +21,7 @@ InferenceEngine::InferenceEngine(LoadedBundle bundle, EngineConfig config)
       config.batcher, [model](const std::vector<Tensor>& windows) {
         auto& registry = obs::MetricsRegistry::Global();
         registry.GetCounter("serve/batches").Add(1);
-        // LogHistogram: fixed memory however many batches the process
-        // serves (the exact Histogram would grow one sample per batch).
-        registry.GetLogHistogram("serve/batch_size")
+        registry.GetHistogram("serve/batch_size")
             .Record(static_cast<double>(windows.size()));
         return model->PredictWindows(windows);
       });
@@ -85,7 +82,7 @@ Result<InferenceEngine::Prediction> InferenceEngine::Predict(
     result.batch_size = ticket.batch_size;
   }
   result.latency_us = timer.ElapsedMicros();
-  registry.GetLogHistogram("serve/latency_us").Record(result.latency_us);
+  registry.GetHistogram("serve/latency_us").Record(result.latency_us);
   return result;
 }
 

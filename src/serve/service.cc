@@ -12,7 +12,6 @@
 #include "serve/trace.h"
 #include "util/json_mini.h"
 #include "util/obs/export.h"
-#include "util/obs/log_histogram.h"
 #include "util/obs/metrics.h"
 #include "util/obs/obs.h"
 
@@ -52,7 +51,7 @@ void AttachTrace(RequestContext context, HttpResponse* response) {
   response->trace = std::move(context);
 }
 
-/// Publishes the full per-request stage breakdown: one LogHistogram per
+/// Publishes the full per-request stage breakdown: one histogram per
 /// stage (always on, fixed memory) and, when tracing is enabled, one
 /// "serve"-category chrome-trace span per stage laid out sequentially from
 /// `t0_us`. The sequential layout is an approximation — the stages are
@@ -74,7 +73,7 @@ void PublishStages(const RequestContext& context, double t0_us) {
   double cursor_us = t0_us;
   for (int i = 0; i < kNumStages; ++i) {
     const double dur = context.stage_us[static_cast<size_t>(i)];
-    registry.GetLogHistogram(kStageMetric[i]).Record(dur);
+    registry.GetHistogram(kStageMetric[i]).Record(dur);
     // The header_parse span is emitted by the HTTP layer with its true
     // start time; re-emitting it here would double it.
     if (tracing && static_cast<Stage>(i) != Stage::kHeaderParse) {

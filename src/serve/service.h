@@ -23,7 +23,7 @@ namespace sthsl::serve {
 /// Every request is traced: an incoming W3C `traceparent` header is
 /// adopted (malformed ones are replaced), the trace id is echoed in the
 /// response `traceparent` header, and the predict path records per-stage
-/// timings into serve/stage/* LogHistograms, the chrome trace ("serve"
+/// timings into serve/stage/* histograms, the chrome trace ("serve"
 /// category) and the access log. See docs/observability.md.
 ///
 /// Floats are rendered as %.9g would, which round-trips float32 exactly — a

@@ -16,7 +16,7 @@ namespace sthsl::serve {
 /// through it sthsl_loadgen; an upstream proxy) can join its own
 /// measurements against the server's per-stage breakdown. The context
 /// accumulates one duration per pipeline stage; the service publishes them
-/// into per-stage LogHistograms, the chrome://tracing buffer ("serve"
+/// into per-stage histograms, the chrome://tracing buffer ("serve"
 /// category) and the JSONL access log.
 
 /// The fixed stages of the predict pipeline, in request order.

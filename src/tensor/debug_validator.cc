@@ -19,7 +19,7 @@ bool EnabledFromEnv() {
 
 }  // namespace
 
-bool g_enabled = EnabledFromEnv();
+std::atomic<bool> g_enabled{EnabledFromEnv()};
 
 }  // namespace debug_validator_internal
 
@@ -53,9 +53,8 @@ std::string InputShapes(const std::vector<Tensor>& inputs) {
 }  // namespace
 
 bool SetDebugChecks(bool enabled) {
-  const bool previous = debug_validator_internal::g_enabled;
-  debug_validator_internal::g_enabled = enabled;
-  return previous;
+  return debug_validator_internal::g_enabled.exchange(
+      enabled, std::memory_order_relaxed);
 }
 
 std::string ShapeToString(const std::vector<int64_t>& shape) {

@@ -1,6 +1,7 @@
 #ifndef STHSL_TENSOR_DEBUG_VALIDATOR_H_
 #define STHSL_TENSOR_DEBUG_VALIDATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,11 +30,14 @@ namespace sthsl {
 namespace debug_validator_internal {
 /// Backing flag; read through DebugChecksEnabled(). Initialized from the
 /// STHSL_DEBUG_CHECKS environment variable during static initialization.
-extern bool g_enabled;
+/// Atomic because it may flip while pool workers read it.
+extern std::atomic<bool> g_enabled;
 }  // namespace debug_validator_internal
 
 /// True when runtime debug validation is active.
-inline bool DebugChecksEnabled() { return debug_validator_internal::g_enabled; }
+inline bool DebugChecksEnabled() {
+  return debug_validator_internal::g_enabled.load(std::memory_order_relaxed);
+}
 
 /// Enables or disables validation at runtime, overriding the environment
 /// variable. Returns the previous state (handy for scoped save/restore in

@@ -2,39 +2,107 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "util/obs/log_histogram.h"
 
 namespace sthsl::obs {
 
+namespace {
+
+void AtomicAdd(std::atomic<double>& target, double delta) {
+  double current = target.load(std::memory_order_relaxed);
+  while (!target.compare_exchange_weak(current, current + delta,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+// NaN compares false, so the min/max loops below leave the target as is.
+void AtomicMin(std::atomic<double>& target, double value) {
+  double current = target.load(std::memory_order_relaxed);
+  while (value < current &&
+         !target.compare_exchange_weak(current, value,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+void AtomicMax(std::atomic<double>& target, double value) {
+  double current = target.load(std::memory_order_relaxed);
+  while (value > current &&
+         !target.compare_exchange_weak(current, value,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
+int Histogram::BucketIndex(double value) {
+  if (!(value > 0.0)) return 0;  // zero, negatives and NaN
+  const int exponent = std::ilogb(value);
+  if (exponent < kMinExponent) return 0;
+  if (exponent >= kMaxExponent) return kNumBuckets - 1;  // +inf included
+  // Linear position inside the octave [2^exponent, 2^(exponent+1)), in [0, 1).
+  const double frac = std::ldexp(value, -exponent) - 1.0;
+  const int sub = std::min(static_cast<int>(frac * kSubBuckets),
+                           kSubBuckets - 1);
+  return 1 + (exponent - kMinExponent) * kSubBuckets + sub;
+}
+
+double Histogram::BucketLowerBound(int bucket) {
+  if (bucket <= 0) return 0.0;
+  const int exponent = kMinExponent + (bucket - 1) / kSubBuckets;
+  const int sub = (bucket - 1) % kSubBuckets;
+  return std::ldexp(1.0 + static_cast<double>(sub) / kSubBuckets, exponent);
+}
+
 void Histogram::Record(double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  samples_.push_back(value);
+  buckets_[static_cast<size_t>(BucketIndex(value))].fetch_add(
+      1, std::memory_order_relaxed);
+  AtomicAdd(sum_, value);
+  AtomicMin(min_, value);
+  AtomicMax(max_, value);
 }
 
 Histogram::Snapshot Histogram::GetSnapshot() const {
-  std::vector<double> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted = samples_;
-  }
   Snapshot snapshot;
-  if (sorted.empty()) return snapshot;
-  std::sort(sorted.begin(), sorted.end());
-  const size_t n = sorted.size();
-  snapshot.count = static_cast<int64_t>(n);
-  snapshot.min = sorted.front();
-  snapshot.max = sorted.back();
+  // Read the buckets once; their sum is the authoritative count so the
+  // percentile walk below is self-consistent even under concurrent writes.
+  std::array<int64_t, kNumBuckets> counts;
+  int64_t total = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    total += counts[i];
+  }
+  if (total == 0) return snapshot;
+  snapshot.count = total;
   snapshot.mean =
-      std::accumulate(sorted.begin(), sorted.end(), 0.0) /
-      static_cast<double>(n);
-  // Nearest-rank percentile: the smallest sample with at least p*n samples
-  // at or below it.
-  auto percentile = [&](double p) {
-    const size_t rank =
-        static_cast<size_t>(std::ceil(p * static_cast<double>(n)));
-    return sorted[std::min(n - 1, rank > 0 ? rank - 1 : 0)];
+      sum_.load(std::memory_order_relaxed) / static_cast<double>(total);
+  snapshot.min = min_.load(std::memory_order_relaxed);
+  snapshot.max = max_.load(std::memory_order_relaxed);
+  if (snapshot.min > snapshot.max) {
+    // Every sample was NaN: there is no value to report.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    snapshot.min = snapshot.max = nan;
+    snapshot.p50 = snapshot.p95 = snapshot.p99 = nan;
+    return snapshot;
+  }
+
+  // Nearest-rank percentile over buckets; the estimate is the midpoint of
+  // the bucket holding the rank, clamped to the observed value range.
+  const auto percentile = [&](double p) {
+    const int64_t rank = std::max<int64_t>(
+        1, static_cast<int64_t>(std::ceil(p * static_cast<double>(total))));
+    int64_t seen = 0;
+    int bucket = kNumBuckets - 1;
+    for (int i = 0; i < kNumBuckets; ++i) {
+      seen += counts[static_cast<size_t>(i)];
+      if (seen >= rank) {
+        bucket = i;
+        break;
+      }
+    }
+    const double lo = BucketLowerBound(bucket);
+    const double hi =
+        bucket + 1 < kNumBuckets ? BucketLowerBound(bucket + 1) : lo;
+    return std::min(std::max(lo + (hi - lo) / 2.0, snapshot.min),
+                    snapshot.max);
   };
   snapshot.p50 = percentile(0.50);
   snapshot.p95 = percentile(0.95);
@@ -71,13 +139,6 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   return *slot;
 }
 
-LogHistogram& MetricsRegistry::GetLogHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = log_histograms_[name];
-  if (!slot) slot = std::make_unique<LogHistogram>();
-  return *slot;
-}
-
 std::vector<std::pair<std::string, int64_t>> MetricsRegistry::Counters()
     const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -103,17 +164,10 @@ std::vector<std::pair<std::string, Histogram::Snapshot>>
 MetricsRegistry::Histograms() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, Histogram::Snapshot>> out;
-  out.reserve(histograms_.size() + log_histograms_.size());
+  out.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
     out.emplace_back(name, histogram->GetSnapshot());
   }
-  for (const auto& [name, histogram] : log_histograms_) {
-    out.emplace_back(name, histogram->GetSnapshot());
-  }
-  // Both maps iterate name-sorted; one stable sort restores global order.
-  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
   return out;
 }
 
@@ -122,7 +176,6 @@ void MetricsRegistry::Reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  log_histograms_.clear();
 }
 
 }  // namespace sthsl::obs

@@ -1,8 +1,10 @@
 #ifndef STHSL_UTIL_OBS_METRICS_H_
 #define STHSL_UTIL_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -41,10 +43,26 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Sample-accumulating metric with nearest-rank percentiles. Samples are
-/// kept exactly (epoch-scale cardinality); Record is O(1), Snapshot sorts.
-/// High-rate paths (serving) use LogHistogram instead — same Snapshot type,
-/// constant memory, bounded-error percentiles (see log_histogram.h).
+/// Bounded log-linear (HDR-style) histogram: constant memory however many
+/// samples are recorded, lock-free recording, bounded-error percentiles.
+///
+/// Layout: bucket 0 holds everything below 2^kMinExponent (zero, negatives,
+/// NaN). Above it each power-of-two octave [2^e, 2^(e+1)), for e in
+/// [kMinExponent, kMaxExponent), is split into kSubBuckets equal-width
+/// linear sub-buckets; values at or above 2^kMaxExponent (+inf included)
+/// clamp into the last bucket. A bucket is at most 1/16th of the values it
+/// holds wide, so a percentile (reported at the bucket midpoint, clamped to
+/// the observed [min, max]) carries a relative error of at most
+/// 1/(2*16) = 3.125% for values in [2^-20, 2^44) ~= [1e-6, 2e13).
+///
+/// count, min, max and mean are exact. Non-finite samples stay visible: an
+/// inf moves min/max/mean to inf, a NaN makes the mean NaN and is ignored
+/// by min/max; the exporters render such values null.
+///
+/// Recording is one relaxed fetch_add on the bucket counter plus
+/// compare-exchange loops for sum/min/max. Snapshots read the counters
+/// without stopping writers, so a snapshot taken under concurrent recording
+/// is a consistent-enough view, not a linearizable one.
 class Histogram {
  public:
   struct Snapshot {
@@ -57,15 +75,26 @@ class Histogram {
     double p99 = 0.0;
   };
 
+  static constexpr int kSubBuckets = 16;
+  static constexpr int kMinExponent = -20;
+  static constexpr int kMaxExponent = 44;
+  static constexpr int kNumBuckets =
+      1 + (kMaxExponent - kMinExponent) * kSubBuckets;
+
   void Record(double value);
   Snapshot GetSnapshot() const;
 
- private:
-  mutable std::mutex mu_;
-  std::vector<double> samples_;
-};
+  /// The bucket a value falls into (exposed for property tests).
+  static int BucketIndex(double value);
+  /// Inclusive lower edge of `bucket`; the next bucket's edge bounds it.
+  static double BucketLowerBound(int bucket);
 
-class LogHistogram;
+ private:
+  std::array<std::atomic<int64_t>, kNumBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+};
 
 class MetricsRegistry {
  public:
@@ -78,12 +107,8 @@ class MetricsRegistry {
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
-  /// Bounded log-linear histogram for hot paths (see log_histogram.h).
-  /// Shares the histogram namespace: Histograms() reports both kinds.
-  LogHistogram& GetLogHistogram(const std::string& name);
 
-  /// Name-sorted snapshots for the exporters. Histograms() covers the exact
-  /// and the log-linear instruments in one listing.
+  /// Name-sorted snapshots for the exporters.
   std::vector<std::pair<std::string, int64_t>> Counters() const;
   std::vector<std::pair<std::string, double>> Gauges() const;
   std::vector<std::pair<std::string, Histogram::Snapshot>> Histograms() const;
@@ -97,7 +122,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<LogHistogram>> log_histograms_;
 };
 
 }  // namespace sthsl::obs

@@ -3,10 +3,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 
+#include "util/flags.h"
 #include "util/obs/export.h"
 #include "util/timer.h"
 
@@ -124,10 +126,8 @@ bool InitFromEnv() {
   if (const char* path = std::getenv("STHSL_METRICS_OUT")) {
     state.metrics_path = path;
   }
-  if (const char* cap = std::getenv("STHSL_TRACE_MAX_EVENTS")) {
-    const int64_t parsed = std::atoll(cap);
-    if (parsed > 0) state.max_events = parsed;
-  }
+  state.max_events = EnvIntOr("STHSL_TRACE_MAX_EVENTS", state.max_events, 1,
+                              std::numeric_limits<int64_t>::max());
   const bool enabled = EnabledFromEnv();
   if (enabled) EnsureExitHookRegistered();
   return enabled;
@@ -136,14 +136,12 @@ bool InitFromEnv() {
 }  // namespace
 
 namespace obs_internal {
-bool g_enabled = InitFromEnv();
+std::atomic<bool> g_enabled{InitFromEnv()};
 }  // namespace obs_internal
 
 bool SetTraceEnabled(bool enabled) {
-  const bool previous = obs_internal::g_enabled;
-  obs_internal::g_enabled = enabled;
   if (enabled) EnsureExitHookRegistered();
-  return previous;
+  return obs_internal::g_enabled.exchange(enabled, std::memory_order_relaxed);
 }
 
 void SetTraceOutPath(std::string path) {

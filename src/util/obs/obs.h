@@ -1,6 +1,7 @@
 #ifndef STHSL_UTIL_OBS_OBS_H_
 #define STHSL_UTIL_OBS_OBS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,12 +22,16 @@ namespace sthsl::obs {
 
 namespace obs_internal {
 /// Backing flag; read through TraceEnabled(). Initialized from the
-/// STHSL_TRACE environment variable during static initialization.
-extern bool g_enabled;
+/// STHSL_TRACE environment variable during static initialization. Atomic
+/// because it may flip while pool workers read it; a relaxed load compiles
+/// to a plain load on x86.
+extern std::atomic<bool> g_enabled;
 }  // namespace obs_internal
 
 /// True when the observability layer is recording.
-inline bool TraceEnabled() { return obs_internal::g_enabled; }
+inline bool TraceEnabled() {
+  return obs_internal::g_enabled.load(std::memory_order_relaxed);
+}
 
 /// Enables or disables recording at runtime, overriding the environment
 /// variable. Returns the previous state (for scoped save/restore in tests).

@@ -2,21 +2,24 @@
 // autograd profiler, scoped regions, trace export, and the guarantee that a
 // disabled layer records no observable state.
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/exec.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/json_mini.h"
 #include "util/obs/export.h"
-#include "util/obs/log_histogram.h"
 #include "util/obs/metrics.h"
 #include "util/obs/obs.h"
 #include "util/rng.h"
@@ -85,22 +88,6 @@ TEST(MetricsTest, GaugeKeepsLastValue) {
   EXPECT_EQ(gauge.Value(), -1.25);
 }
 
-TEST(MetricsTest, HistogramNearestRankPercentiles) {
-  ObsSandbox sandbox(/*enabled=*/false);
-  auto& hist = obs::MetricsRegistry::Global().GetHistogram("test/hist");
-  EXPECT_EQ(hist.GetSnapshot().count, 0);
-  // Record 100..1 (descending, so ordering is the snapshot's job).
-  for (int i = 100; i >= 1; --i) hist.Record(static_cast<double>(i));
-  const obs::Histogram::Snapshot s = hist.GetSnapshot();
-  EXPECT_EQ(s.count, 100);
-  EXPECT_EQ(s.min, 1.0);
-  EXPECT_EQ(s.max, 100.0);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_EQ(s.p50, 50.0);  // nearest-rank: ceil(0.50 * 100) = rank 50
-  EXPECT_EQ(s.p95, 95.0);
-  EXPECT_EQ(s.p99, 99.0);
-}
-
 TEST(MetricsTest, HistogramSingleSample) {
   ObsSandbox sandbox(/*enabled=*/false);
   auto& hist = obs::MetricsRegistry::Global().GetHistogram("test/one");
@@ -114,12 +101,8 @@ TEST(MetricsTest, HistogramSingleSample) {
   EXPECT_EQ(s.p99, 7.0);
 }
 
-// ---------------------------------------------------------------------------
-// LogHistogram: bounded log-linear histogram for serving hot paths.
-
-TEST(LogHistogramTest, QuantileErrorStaysWithinBucketBound) {
-  ObsSandbox sandbox(/*enabled=*/false);
-  obs::LogHistogram hist;
+TEST(HistogramTest, QuantileErrorStaysWithinBucketBound) {
+  obs::Histogram hist;
   // Values 1..10000: exact quantiles are known, the histogram's estimate
   // must be within its documented relative error of 1/(2*16) = 3.125%.
   for (int i = 1; i <= 10000; ++i) hist.Record(static_cast<double>(i));
@@ -134,11 +117,68 @@ TEST(LogHistogramTest, QuantileErrorStaysWithinBucketBound) {
   EXPECT_NEAR(s.p99, 9900.0, 9900.0 * kRelError);
 }
 
-TEST(LogHistogramTest, SubUnitAndExtremeValuesClampToEdgeBuckets) {
-  obs::LogHistogram hist;
+TEST(HistogramTest, SubUnitQuantilesStayWithinBucketBound) {
+  // Losses, grad norms and sub-microsecond stages live below 1: log-uniform
+  // values over [1e-3, 1) keep the same relative error bound as large ones.
+  obs::Histogram hist;
+  std::vector<double> values;
+  for (int i = 0; i < 3000; ++i) {
+    values.push_back(std::pow(10.0, -3.0 + 3.0 * i / 3000.0));
+    hist.Record(values.back());
+  }
+  const obs::Histogram::Snapshot s = hist.GetSnapshot();
+  EXPECT_EQ(s.count, 3000);
+  EXPECT_EQ(s.min, 1e-3);
+  EXPECT_EQ(s.max, values.back());
+  const double kRelError = 1.0 / 32.0;
+  // Nearest rank: the ceil(p * n)-th smallest value (values are ascending).
+  for (const auto& [p, estimate] :
+       {std::pair{0.50, s.p50}, std::pair{0.95, s.p95},
+        std::pair{0.99, s.p99}}) {
+    const double exact = values[static_cast<size_t>(std::ceil(p * 3000)) - 1];
+    EXPECT_NEAR(estimate, exact, exact * kRelError) << "p" << p;
+  }
+}
+
+TEST(HistogramTest, NonFiniteSamplesStayVisible) {
+  // NaN poisons the mean but not the order statistics.
+  obs::Histogram with_nan;
+  for (double v : {1.0, std::nan(""), 3.0}) with_nan.Record(v);
+  const obs::Histogram::Snapshot a = with_nan.GetSnapshot();
+  EXPECT_EQ(a.count, 3);
+  EXPECT_EQ(a.min, 1.0);
+  EXPECT_EQ(a.max, 3.0);
+  EXPECT_TRUE(std::isnan(a.mean));
+  for (double p : {a.p50, a.p95, a.p99}) {
+    EXPECT_GE(p, 1.0);
+    EXPECT_LE(p, 3.0);
+  }
+
+  // A lone +inf reads as inf everywhere, never as zero.
+  const double inf = std::numeric_limits<double>::infinity();
+  obs::Histogram with_inf;
+  with_inf.Record(inf);
+  const obs::Histogram::Snapshot b = with_inf.GetSnapshot();
+  EXPECT_EQ(b.count, 1);
+  for (double v : {b.min, b.max, b.mean, b.p50, b.p95, b.p99}) {
+    EXPECT_EQ(v, inf);
+  }
+
+  // Only NaN: nothing to order, so min/max/percentiles are NaN too.
+  obs::Histogram only_nan;
+  only_nan.Record(std::nan(""));
+  const obs::Histogram::Snapshot c = only_nan.GetSnapshot();
+  EXPECT_EQ(c.count, 1);
+  for (double v : {c.min, c.max, c.mean, c.p50, c.p95, c.p99}) {
+    EXPECT_TRUE(std::isnan(v));
+  }
+}
+
+TEST(HistogramTest, OutOfRangeValuesClampToEdgeBuckets) {
+  obs::Histogram hist;
   hist.Record(0.0);
   hist.Record(0.5);
-  hist.Record(-3.0);  // negative: clamps into the [0,1) bucket
+  hist.Record(-3.0);  // negative: clamps into the underflow bucket
   hist.Record(1e300);
   const obs::Histogram::Snapshot s = hist.GetSnapshot();
   EXPECT_EQ(s.count, 4);
@@ -150,71 +190,56 @@ TEST(LogHistogramTest, SubUnitAndExtremeValuesClampToEdgeBuckets) {
   EXPECT_LE(s.p99, s.max);
 }
 
-TEST(LogHistogramTest, MergeMatchesRecordingEverythingInOne) {
-  obs::LogHistogram left;
-  obs::LogHistogram right;
-  obs::LogHistogram all;
-  for (int i = 1; i <= 500; ++i) {
-    const double value = static_cast<double>(i * 7 % 997);
-    (i % 2 == 0 ? left : right).Record(value);
-    all.Record(value);
-  }
-  obs::LogHistogram merged;
-  merged.MergeFrom(left);
-  merged.MergeFrom(right);
-  const obs::Histogram::Snapshot a = merged.GetSnapshot();
-  const obs::Histogram::Snapshot b = all.GetSnapshot();
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_DOUBLE_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.p50, b.p50);  // identical buckets → identical quantiles
-  EXPECT_EQ(a.p95, b.p95);
-  EXPECT_EQ(a.p99, b.p99);
-
-  // Merge is associative: (left ⊕ right) ⊕ left == left ⊕ (right ⊕ left).
-  obs::LogHistogram lr;
-  lr.MergeFrom(left);
-  lr.MergeFrom(right);
-  lr.MergeFrom(left);
-  obs::LogHistogram rl;
-  rl.MergeFrom(right);
-  rl.MergeFrom(left);
-  obs::LogHistogram assoc;
-  assoc.MergeFrom(left);
-  assoc.MergeFrom(rl);
-  for (int i = 0; i < obs::LogHistogram::kNumBuckets; ++i) {
-    ASSERT_EQ(lr.bucket_count(i), assoc.bucket_count(i)) << "bucket " << i;
-  }
-}
-
-TEST(LogHistogramTest, BucketIndexIsMonotoneAndBounded) {
+TEST(HistogramTest, BucketIndexIsMonotoneAndBounded) {
+  EXPECT_EQ(obs::Histogram::BucketIndex(0.0), 0);
+  EXPECT_EQ(obs::Histogram::BucketIndex(std::ldexp(1.0, -21)), 0);
+  EXPECT_EQ(obs::Histogram::BucketIndex(std::ldexp(1.0, -20)), 1);
   int previous = -1;
-  for (double value = 0.25; value < 1e9; value *= 1.37) {
-    const int index = obs::LogHistogram::BucketIndex(value);
+  for (double value = 1e-7; value < 1e15; value *= 1.37) {
+    const int index = obs::Histogram::BucketIndex(value);
     ASSERT_GE(index, 0);
-    ASSERT_LT(index, obs::LogHistogram::kNumBuckets);
+    ASSERT_LT(index, obs::Histogram::kNumBuckets);
     ASSERT_GE(index, previous) << "value " << value;
     // The bucket's lower bound never exceeds the value it holds.
-    ASSERT_LE(obs::LogHistogram::BucketLowerBound(index), value);
+    ASSERT_LE(obs::Histogram::BucketLowerBound(index), value);
     previous = index;
   }
 }
 
-TEST(LogHistogramTest, RegistryExposesLogHistogramsAlongsideExact) {
+TEST(HistogramTest, ConcurrentRecordsAreAllCounted) {
+  // Recording is lock-free; every sample from every pool worker must land,
+  // and min/max/mean (integers, so the sum is exact) must match.
+  const int previous_threads = exec::ThreadCount();
+  exec::SetThreadCount(4);
+  obs::Histogram hist;
+  constexpr int64_t kSamples = 1 << 14;
+  exec::ParallelFor(0, kSamples, 64, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      hist.Record(static_cast<double>(i + 1));
+    }
+  });
+  exec::SetThreadCount(previous_threads);
+  const obs::Histogram::Snapshot s = hist.GetSnapshot();
+  EXPECT_EQ(s.count, kSamples);
+  EXPECT_EQ(s.min, 1.0);
+  EXPECT_EQ(s.max, static_cast<double>(kSamples));
+  EXPECT_EQ(s.mean, (kSamples + 1) / 2.0);
+}
+
+TEST(HistogramTest, RegistryReturnsOneNameSortedInstrumentPerName) {
   ObsSandbox sandbox(/*enabled=*/false);
   auto& registry = obs::MetricsRegistry::Global();
-  registry.GetHistogram("test/exact").Record(5.0);
-  registry.GetLogHistogram("test/bounded").Record(5.0);
+  registry.GetHistogram("test/zeta").Record(5.0);
+  registry.GetHistogram("test/alpha").Record(5.0);
   const auto histograms = registry.Histograms();
   ASSERT_EQ(histograms.size(), 2u);
-  EXPECT_EQ(histograms[0].first, "test/bounded");  // name-sorted
-  EXPECT_EQ(histograms[1].first, "test/exact");
+  EXPECT_EQ(histograms[0].first, "test/alpha");  // name-sorted
+  EXPECT_EQ(histograms[1].first, "test/zeta");
   EXPECT_EQ(histograms[0].second.count, 1);
   EXPECT_EQ(histograms[1].second.count, 1);
   // Same instrument on repeat lookup.
-  registry.GetLogHistogram("test/bounded").Record(6.0);
-  EXPECT_EQ(registry.GetLogHistogram("test/bounded").GetSnapshot().count, 2);
+  registry.GetHistogram("test/alpha").Record(6.0);
+  EXPECT_EQ(registry.GetHistogram("test/alpha").GetSnapshot().count, 2);
 }
 
 TEST(MetricsTest, RegistrySnapshotsAreNameSorted) {
@@ -226,6 +251,34 @@ TEST(MetricsTest, RegistrySnapshotsAreNameSorted) {
   ASSERT_EQ(counters.size(), 2u);
   EXPECT_EQ(counters[0].first, "alpha");
   EXPECT_EQ(counters[1].first, "zeta");
+}
+
+TEST(ObsFlagTest, TraceFlagFlipsWhileWorkersReadIt) {
+  // The trace flag is flipped at runtime (tests, benches) while pool
+  // workers read it; under ThreadSanitizer this must report no race.
+  ObsSandbox sandbox(/*enabled=*/false);
+  const int previous_threads = exec::ThreadCount();
+  exec::SetThreadCount(4);
+  std::atomic<bool> stop{false};
+  std::thread flipper([&] {
+    for (int i = 0; !stop.load(); ++i) obs::SetTraceEnabled(i % 2 == 0);
+  });
+  std::atomic<int64_t> enabled_reads{0};
+  constexpr int64_t kReads = 1 << 14;
+  for (int round = 0; round < 16; ++round) {
+    exec::ParallelFor(0, kReads, 64, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        if (obs::TraceEnabled()) {
+          enabled_reads.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  stop = true;
+  flipper.join();
+  obs::SetTraceEnabled(false);
+  exec::SetThreadCount(previous_threads);
+  EXPECT_LE(enabled_reads.load(), 16 * kReads);
 }
 
 TEST(ObsProfilerTest, ForwardAndBackwardOpsRecorded) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -229,6 +230,48 @@ TEST(ParseIntFlagTest, AcceptsOnlyWholeIntegersInRange) {
     EXPECT_EQ(parsed.status().message(),
               "PORT must be in [-100, 100], got " + std::string(text));
   }
+}
+
+TEST(ParseDoubleFlagTest, AcceptsOnlyWholeFiniteNumbersInRange) {
+  EXPECT_EQ(ParseDoubleFlag("--q", "200", 0, 1e9).value(), 200.0);
+  EXPECT_EQ(ParseDoubleFlag("--q", "2.5", 0, 1e9).value(), 2.5);
+  EXPECT_EQ(ParseDoubleFlag("--q", "-1e-3", -1, 1).value(), -1e-3);
+  EXPECT_EQ(ParseDoubleFlag("--q", "0", 0, 0).value(), 0.0);
+  for (const char* text : {"", "abc", "5x", "2OO", " 1", "1 ", "+5", "inf",
+                           "-inf", "nan", "0x10"}) {
+    const Result<double> parsed = ParseDoubleFlag("--q", text, -1e9, 1e9);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              "--q must be a finite number, got '" + std::string(text) + "'");
+  }
+  // Out of range, including values past double that strtod would make inf.
+  for (const char* text : {"1000.5", "-0.5", "1e400"}) {
+    const Result<double> parsed = ParseDoubleFlag("--q", text, 0, 1000);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().message(),
+              "--q must be in [0, 1000], got " + std::string(text));
+  }
+}
+
+TEST(EnvIntOrTest, BadValueFallsBackWithOneLineNamingIt) {
+  const char* name = "STHSL_UTIL_TEST_ENV_INT";
+  unsetenv(name);
+  EXPECT_EQ(EnvIntOr(name, 7, 1, 100), 7);
+  setenv(name, "", 1);
+  EXPECT_EQ(EnvIntOr(name, 7, 1, 100), 7);
+  setenv(name, "42", 1);
+  EXPECT_EQ(EnvIntOr(name, 7, 1, 100), 42);
+  for (const char* text : {"4abc", "0", "101"}) {
+    setenv(name, text, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(EnvIntOr(name, 7, 1, 100), 7) << text;
+    const std::string line = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(line, "sthsl: " +
+                        ParseIntFlag(name, text, 1, 100).status().message() +
+                        "; falling back to 7\n");
+  }
+  unsetenv(name);
 }
 
 TEST(CsvTest, SplitPlainLine) {

@@ -21,13 +21,12 @@
 // to --out (client numbers plus the scraped server stats under "server"),
 // and exits non-zero if any request failed or QPS fell below --min-qps —
 // which is what the CI smoke job gates on. Requests go through
-// serve::HttpClient; client latencies land in one obs::LogHistogram, so the
+// serve::HttpClient; client latencies land in one obs::Histogram, so the
 // percentiles carry its bounded (~3.1%) relative error and the mean is exact.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -38,7 +37,7 @@
 #include "serve/http.h"
 #include "util/flags.h"
 #include "util/json_mini.h"
-#include "util/obs/log_histogram.h"
+#include "util/obs/metrics.h"
 
 namespace {
 
@@ -62,12 +61,10 @@ int Usage() {
   return 2;
 }
 
-// Parses integer flag `flag` into `*out`; false, with the reason on stderr,
-// when `value` is not a whole integer in [min, max].
-bool IntFlag(const std::string& flag, const std::string& value, int64_t min,
-             int64_t max, int64_t* out) {
-  const sthsl::Result<int64_t> parsed =
-      sthsl::ParseIntFlag(flag, value, min, max);
+// Stores a parsed flag value into `*out`; false, with the reason on stderr,
+// when ParseIntFlag or ParseDoubleFlag refused it.
+template <typename T>
+bool Store(const sthsl::Result<T>& parsed, T* out) {
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
     return false;
@@ -99,16 +96,21 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string arg = argv[i];
     const std::string value = argv[i + 1];
+    using sthsl::ParseDoubleFlag;
+    using sthsl::ParseIntFlag;
     bool ok = true;
     if (arg == "--bundle") opts.bundle_dir = value;
     else if (arg == "--host") opts.host = value;
-    else if (arg == "--port") ok = IntFlag(arg, value, 1, 65535, &opts.port);
+    else if (arg == "--port")
+      ok = Store(ParseIntFlag(arg, value, 1, 65535), &opts.port);
     else if (arg == "--connections")
-      ok = IntFlag(arg, value, 1, 1024, &opts.connections);
-    else if (arg == "--seconds") opts.seconds = std::atof(value.c_str());
+      ok = Store(ParseIntFlag(arg, value, 1, 1024), &opts.connections);
+    else if (arg == "--seconds")
+      ok = Store(ParseDoubleFlag(arg, value, 0.0, 1e6), &opts.seconds);
     else if (arg == "--distinct-windows")
-      ok = IntFlag(arg, value, 1, 1 << 20, &opts.distinct_windows);
-    else if (arg == "--min-qps") opts.min_qps = std::atof(value.c_str());
+      ok = Store(ParseIntFlag(arg, value, 1, 1 << 20), &opts.distinct_windows);
+    else if (arg == "--min-qps")
+      ok = Store(ParseDoubleFlag(arg, value, 0.0, 1e9), &opts.min_qps);
     else if (arg == "--out") opts.out = value;
     else return Usage();
     if (!ok) return 2;
@@ -151,7 +153,7 @@ int main(int argc, char** argv) {
   std::atomic<uint64_t> total_errors{0};
   std::atomic<uint64_t> trace_mismatches{0};
   std::atomic<uint64_t> cache_hits{0};
-  sthsl::obs::LogHistogram latency_us;
+  sthsl::obs::Histogram latency_us;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(opts.seconds);
   const auto bench_start = std::chrono::steady_clock::now();
