@@ -11,8 +11,6 @@ MicroBatcher::MicroBatcher(Config config, BatchFn fn)
     : config_(config), fn_(std::move(fn)) {
   STHSL_CHECK(config_.max_batch_size >= 1)
       << "max_batch_size must be >= 1, got " << config_.max_batch_size;
-  STHSL_CHECK(config_.max_wait_us >= 0)
-      << "max_wait_us must be >= 0, got " << config_.max_wait_us;
   STHSL_CHECK(config_.worker_threads >= 1)
       << "worker_threads must be >= 1, got " << config_.worker_threads;
   STHSL_CHECK(fn_ != nullptr) << "MicroBatcher needs a batch function";
@@ -31,10 +29,13 @@ std::future<MicroBatcher::Ticket> MicroBatcher::Submit(Tensor window) {
   std::future<Ticket> future = pending.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Draining: resolve immediately with an undefined tensor instead of
-      // blocking the caller or aborting mid-drain.
-      pending.promise.set_value(Ticket());
+    if (stopping_ || queue_.size() >= kMaxQueuedWindows) {
+      // Draining or full: resolve immediately with an undefined tensor
+      // instead of blocking the caller or aborting mid-drain.
+      Ticket rejected;
+      rejected.queue_full = !stopping_;
+      stats_.queue_full_rejects += rejected.queue_full ? 1 : 0;
+      pending.promise.set_value(std::move(rejected));
       return future;
     }
     queue_.push_back(std::move(pending));
@@ -65,25 +66,10 @@ void MicroBatcher::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
+    if (queue_.empty()) return;  // stopping, and the queue is drained
 
-    // A batch is forming. Wait for it to fill, bounded by the oldest
-    // request's deadline; drain mode flushes whatever is queued right away.
-    const auto deadline =
-        queue_.front().enqueued + std::chrono::microseconds(config_.max_wait_us);
-    bool timed_out = false;
-    while (!stopping_ && !queue_.empty() &&
-           static_cast<int64_t>(queue_.size()) < config_.max_batch_size) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        timed_out = true;
-        break;
-      }
-    }
-    if (queue_.empty()) continue;  // another worker flushed it first
-
+    // Dispatch on idle: this worker is free, so it takes what is queued now
+    // rather than waiting for company.
     const size_t take = std::min<size_t>(
         queue_.size(), static_cast<size_t>(config_.max_batch_size));
     const auto dequeue_start = std::chrono::steady_clock::now();
@@ -108,12 +94,6 @@ void MicroBatcher::WorkerLoop() {
       stats_.size_flushes += 1;
     } else if (stopping_) {
       stats_.drain_flushes += 1;
-    } else if (timed_out) {
-      stats_.timeout_flushes += 1;
-    } else {
-      // Spurious flush path (e.g. queue shrank under a racing worker):
-      // account it with the timeout bucket — it was time-bounded either way.
-      stats_.timeout_flushes += 1;
     }
 
     lock.unlock();

@@ -72,6 +72,9 @@ Result<InferenceEngine::Prediction> InferenceEngine::Predict(
     MicroBatcher::Ticket ticket = batcher_->Submit(window).get();
     if (!ticket.value.Defined()) {
       registry.GetCounter("serve/errors").Add(1);
+      if (ticket.queue_full) {
+        return Status::ResourceExhausted("prediction queue is full");
+      }
       return Status::Internal("engine is shutting down");
     }
     cache_.Insert(window, ticket.value);

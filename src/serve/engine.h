@@ -21,7 +21,7 @@ struct EngineConfig {
 
 /// The inference engine behind every endpoint: validates request windows
 /// against the bundle geometry, answers repeats from the sharded LRU cache,
-/// and funnels misses through the dynamic micro-batcher into batched
+/// and funnels misses through the dispatch-on-idle micro-batcher into
 /// Forecaster::PredictWindows calls. Publishes serve/* metrics into the
 /// process obs registry (see docs/serving.md).
 class InferenceEngine {
@@ -47,7 +47,8 @@ class InferenceEngine {
 
   /// Blocking predict for one (R, W, C) window. InvalidArgument on a window
   /// whose shape does not match the bundle or that contains non-finite
-  /// values; Internal when the engine is shutting down.
+  /// values; ResourceExhausted when the micro-batcher queue is full;
+  /// Internal when the engine is shutting down.
   Result<Prediction> Predict(const Tensor& window);
 
   const BundleManifest& manifest() const { return bundle_.manifest; }

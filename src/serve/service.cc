@@ -31,6 +31,7 @@ HttpResponse ErrorResponse(int status, const std::string& message) {
 int StatusToHttp(const Status& status) {
   switch (status.code()) {
     case Status::Code::kInvalidArgument: return 400;
+    case Status::Code::kResourceExhausted: return 503;  // queue full
     case Status::Code::kInternal: return 503;  // engine draining
     default: return 500;
   }
@@ -116,8 +117,8 @@ void WriteServingStats(const InferenceEngine& engine, JsonWriter& json) {
   json.Key("batcher").BeginObject().Key("batches").Int(batcher.batches);
   json.Key("requests").Int(batcher.requests);
   json.Key("size_flushes").Int(batcher.size_flushes);
-  json.Key("timeout_flushes").Int(batcher.timeout_flushes);
-  json.Key("drain_flushes").Int(batcher.drain_flushes).EndObject();
+  json.Key("drain_flushes").Int(batcher.drain_flushes);
+  json.Key("queue_full_rejects").Int(batcher.queue_full_rejects).EndObject();
 
   const exec::PoolStats stats = exec::GetPoolStats();
   double worker_busy_us = 0.0;
@@ -224,6 +225,10 @@ HttpResponse PredictService::HandlePredict(const HttpRequest& request) {
   if (!prediction.ok()) {
     HttpResponse response = ErrorResponse(StatusToHttp(prediction.status()),
                                           prediction.status().message());
+    // A full queue clears within milliseconds; tell the client to come back.
+    if (prediction.status().code() == Status::Code::kResourceExhausted) {
+      response.headers.emplace_back("Retry-After", "1");
+    }
     PublishStages(context, t0_us);
     AttachTrace(std::move(context), &response);
     return response;

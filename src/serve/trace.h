@@ -24,7 +24,8 @@ enum class Stage {
   kHeaderParse = 0,  // HTTP request line + header fields
   kBodyParse,        // JSON body → validated window tensor
   kCacheLookup,      // sharded LRU probe
-  kQueueWait,        // submit → the micro-batcher dequeues the request
+  kQueueWait,        // submit → a batcher worker dequeues the request:
+                     // a thread wake-up unless every worker is busy
   kBatchAssembly,    // dequeue → batch handed to the model
   kInference,        // batched forward pass
   kSerialize,        // prediction → JSON response body

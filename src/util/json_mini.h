@@ -11,12 +11,12 @@
 #include <charconv>
 #include <cmath>
 #include <concepts>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -233,21 +233,44 @@ class JsonParser {
     return Fail("invalid keyword");
   }
 
-  bool ParseNumber(JsonValue* out) {
+  // Advances past `c` when it is the next byte; skips no whitespace.
+  bool Skip(char c) {
+    if (pos_ >= input_.size() || input_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  size_t SkipDigits() {
     const size_t start = pos_;
-    if (pos_ < input_.size() && input_[pos_] == '-') ++pos_;
     while (pos_ < input_.size() &&
-           (std::isdigit(static_cast<unsigned char>(input_[pos_])) ||
-            input_[pos_] == '.' || input_[pos_] == 'e' ||
-            input_[pos_] == 'E' || input_[pos_] == '+' ||
-            input_[pos_] == '-')) {
+           std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
       ++pos_;
     }
+    return pos_ - start;
+  }
+
+  // RFC 8259 number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  // converted in place by std::from_chars: locale-free and correctly
+  // rounded, like strtod. A value beyond double's range is rejected rather
+  // than read as inf or 0.
+  bool ParseNumber(JsonValue* out) {
+    const size_t start = pos_;
+    Skip('-');
+    const size_t int_start = pos_;
+    const size_t int_digits = SkipDigits();
     if (pos_ == start) return Fail("expected a value");
-    char* end = nullptr;
-    const std::string token = input_.substr(start, pos_ - start);
-    out->number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return Fail("malformed number");
+    bool ok = int_digits == 1 || (int_digits > 1 && input_[int_start] != '0');
+    if (ok && Skip('.')) ok = SkipDigits() > 0;
+    if (ok && (Skip('e') || Skip('E'))) {
+      if (!Skip('+')) Skip('-');
+      ok = SkipDigits() > 0;
+    }
+    if (!ok) return Fail("malformed number");
+    const char* first = input_.data() + start;
+    if (std::from_chars(first, input_.data() + pos_, out->number).ec !=
+        std::errc()) {
+      return Fail("number out of range");
+    }
     out->kind = JsonValue::Kind::kNumber;
     return true;
   }

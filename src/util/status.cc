@@ -17,6 +17,8 @@ const char* CodeName(Status::Code code) {
       return "FAILED_PRECONDITION";
     case Status::Code::kOutOfRange:
       return "OUT_OF_RANGE";
+    case Status::Code::kResourceExhausted:
+      return "RESOURCE_EXHAUSTED";
     case Status::Code::kInternal:
       return "INTERNAL";
   }

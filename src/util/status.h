@@ -18,6 +18,7 @@ class Status {
     kIoError,
     kFailedPrecondition,
     kOutOfRange,
+    kResourceExhausted,
     kInternal,
   };
 
@@ -38,6 +39,9 @@ class Status {
   }
   static Status OutOfRange(std::string msg) {
     return Status(Code::kOutOfRange, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(Code::kResourceExhausted, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(Code::kInternal, std::move(msg));

@@ -1,8 +1,8 @@
-// Tests for the sthsl::serve subsystem: micro-batcher flush rules, LRU
-// prediction-cache accounting, HTTP request and response parsing, the HTTP
-// client, bundle round-trip, and an end-to-end loopback check that served
-// predictions are bitwise identical to a direct Forecaster call (cold and
-// cached).
+// Tests for the sthsl::serve subsystem: micro-batcher dispatch and queue
+// cap, LRU prediction-cache accounting, HTTP request and response parsing,
+// the HTTP client, bundle round-trip, and an end-to-end loopback check that
+// served predictions are bitwise identical to a direct Forecaster call (cold
+// and cached).
 
 #include <algorithm>
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +18,8 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sthsl_model.h"
 #include "data/generator.h"
 #include "serve/access_log.h"
 #include "serve/batcher.h"
@@ -46,76 +50,194 @@ MicroBatcher::BatchFn EchoBatch() {
   return [](const std::vector<Tensor>& windows) { return windows; };
 }
 
-TEST(MicroBatcherTest, SizeBoundFlushesFullBatch) {
-  MicroBatcher::Config config;
-  config.max_batch_size = 4;
-  config.max_wait_us = 10'000'000;  // effectively never; size must trigger
-  config.worker_threads = 1;
-  MicroBatcher batcher(config, EchoBatch());
+// A latch in front of batch execution: every batch blocks on entry until
+// Open(), so a test can hold the workers busy and pile windows up behind
+// them. Records each batch's size in the order batches entered.
+class BatchLatch {
+ public:
+  // Blocks the calling worker until Open().
+  void Enter(size_t batch_size) {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_.push_back(batch_size);
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
 
-  std::vector<std::future<MicroBatcher::Ticket>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(batcher.Submit(MakeWindow(static_cast<float>(i))));
+  // EchoBatch behind the latch.
+  MicroBatcher::BatchFn Echo() {
+    return [this](const std::vector<Tensor>& windows) {
+      Enter(windows.size());
+      return windows;
+    };
   }
-  for (int i = 0; i < 4; ++i) {
-    const MicroBatcher::Ticket ticket = futures[static_cast<size_t>(i)].get();
-    ASSERT_TRUE(ticket.value.Defined());
-    EXPECT_EQ(ticket.value.Data()[0], static_cast<float>(i));  // order kept
-    EXPECT_EQ(ticket.batch_size, 4);  // all four rode in one batch
-    EXPECT_GE(ticket.queue_wait_us, 0.0);
-    EXPECT_GE(ticket.inference_us, 0.0);
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
   }
-  const MicroBatcher::Stats stats = batcher.GetStats();
-  EXPECT_EQ(stats.requests, 4);
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.size_flushes, 1);
-  EXPECT_EQ(stats.timeout_flushes, 0);
+
+  // Waits until `count` batches have entered; false after 10 s.
+  bool WaitForBatches(size_t count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return entered_.size() >= count; });
+  }
+
+  std::vector<size_t> entered() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entered_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::vector<size_t> entered_;
+};
+
+bool Ready(const std::future<MicroBatcher::Ticket>& future) {
+  return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
-TEST(MicroBatcherTest, WaitBoundFlushesLoneRequest) {
+TEST(MicroBatcherTest, LoneRequestDispatchesWithoutWaiting) {
   MicroBatcher::Config config;
-  config.max_batch_size = 64;  // never reached
-  config.max_wait_us = 5000;
+  config.max_batch_size = 64;        // never reached
+  config.max_wait_us = 10'000'000;   // not read: an idle worker takes it now
   config.worker_threads = 1;
   MicroBatcher batcher(config, EchoBatch());
 
-  const MicroBatcher::Ticket ticket = batcher.Submit(MakeWindow(7.0f)).get();
+  std::future<MicroBatcher::Ticket> future = batcher.Submit(MakeWindow(7.0f));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready)
+      << "a lone request waited for a batch that never forms";
+  const MicroBatcher::Ticket ticket = future.get();
   ASSERT_TRUE(ticket.value.Defined());
   EXPECT_EQ(ticket.value.Data()[0], 7.0f);
   EXPECT_EQ(ticket.batch_size, 1);
-  // The lone request waited out (most of) the flush deadline.
-  EXPECT_GT(ticket.queue_wait_us, 0.0);
+  EXPECT_GE(ticket.queue_wait_us, 0.0);
+  EXPECT_GE(ticket.inference_us, 0.0);
   const MicroBatcher::Stats stats = batcher.GetStats();
   EXPECT_EQ(stats.requests, 1);
-  EXPECT_EQ(stats.timeout_flushes, 1);
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.timeout_flushes, 0);
   EXPECT_EQ(stats.size_flushes, 0);
+}
+
+TEST(MicroBatcherTest, BusyWorkerLeavesBacklogInBoundedBatchesInOrder) {
+  MicroBatcher::Config config;
+  config.max_batch_size = 4;
+  config.worker_threads = 1;
+  BatchLatch latch;
+  MicroBatcher batcher(config, latch.Echo());
+
+  // Window 0 occupies the only worker; windows 1-9 queue up behind it.
+  std::vector<std::future<MicroBatcher::Ticket>> futures;
+  futures.push_back(batcher.Submit(MakeWindow(0.0f)));
+  ASSERT_TRUE(latch.WaitForBatches(1));
+  for (int i = 1; i < 10; ++i) {
+    futures.push_back(batcher.Submit(MakeWindow(static_cast<float>(i))));
+  }
+  for (const auto& future : futures) EXPECT_FALSE(Ready(future));
+  latch.Open();
+
+  const std::vector<int64_t> expected_batch = {1, 4, 4, 4, 4, 4, 4, 4, 4, 1};
+  for (int i = 0; i < 10; ++i) {
+    const MicroBatcher::Ticket ticket = futures[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(ticket.value.Defined());
+    EXPECT_EQ(ticket.value.Data()[0], static_cast<float>(i));  // order kept
+    EXPECT_EQ(ticket.batch_size, expected_batch[static_cast<size_t>(i)]) << i;
+    EXPECT_GE(ticket.queue_wait_us, 0.0);
+    EXPECT_GE(ticket.inference_us, 0.0);
+  }
+  EXPECT_EQ(latch.entered(), (std::vector<size_t>{1, 4, 4, 1}));
+  const MicroBatcher::Stats stats = batcher.GetStats();
+  EXPECT_EQ(stats.requests, 10);
+  EXPECT_EQ(stats.batches, 4);
+  EXPECT_EQ(stats.size_flushes, 2);
+  EXPECT_EQ(stats.timeout_flushes, 0);
+}
+
+TEST(MicroBatcherTest, FullQueueRejectsAtOnceAndKeepsAcceptedWork) {
+  MicroBatcher::Config config;
+  config.max_batch_size = 8;
+  config.worker_threads = 1;
+  BatchLatch latch;
+  MicroBatcher batcher(config, latch.Echo());
+
+  std::vector<std::future<MicroBatcher::Ticket>> accepted;
+  accepted.push_back(batcher.Submit(MakeWindow(0.0f)));
+  ASSERT_TRUE(latch.WaitForBatches(1));  // the worker holds window 0
+  for (size_t i = 1; i <= MicroBatcher::kMaxQueuedWindows; ++i) {
+    accepted.push_back(batcher.Submit(MakeWindow(static_cast<float>(i))));
+  }
+  std::future<MicroBatcher::Ticket> excess = batcher.Submit(MakeWindow(-1.0f));
+  ASSERT_TRUE(Ready(excess)) << "a submit to a full queue must not block";
+  const MicroBatcher::Ticket rejected = excess.get();
+  EXPECT_FALSE(rejected.value.Defined());
+  EXPECT_TRUE(rejected.queue_full);
+  EXPECT_EQ(rejected.batch_size, 0);
+
+  latch.Open();
+  for (size_t i = 0; i < accepted.size(); ++i) {
+    const MicroBatcher::Ticket ticket = accepted[i].get();
+    ASSERT_TRUE(ticket.value.Defined()) << i;
+    EXPECT_EQ(ticket.value.Data()[0], static_cast<float>(i));
+  }
+  const MicroBatcher::Stats stats = batcher.GetStats();
+  EXPECT_EQ(stats.requests,
+            static_cast<int64_t>(MicroBatcher::kMaxQueuedWindows) + 1);
+  EXPECT_EQ(stats.queue_full_rejects, 1);
 }
 
 TEST(MicroBatcherTest, ShutdownDrainsQueueAndRejectsLateSubmits) {
   MicroBatcher::Config config;
-  config.max_batch_size = 64;
-  config.max_wait_us = 10'000'000;  // queued work only leaves via the drain
-  config.worker_threads = 2;
-  MicroBatcher batcher(config, EchoBatch());
+  config.max_batch_size = 128;  // above the queue cap: the drain is one batch
+  config.worker_threads = 1;
+  BatchLatch latch;
+  MicroBatcher batcher(config, latch.Echo());
 
-  std::vector<std::future<MicroBatcher::Ticket>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(batcher.Submit(MakeWindow(static_cast<float>(i))));
+  // Window 0 blocks the worker, so windows 1-3 are still queued when the
+  // drain starts.
+  std::vector<std::pair<float, std::future<MicroBatcher::Ticket>>> queued;
+  queued.emplace_back(0.0f, batcher.Submit(MakeWindow(0.0f)));
+  ASSERT_TRUE(latch.WaitForBatches(1));
+  for (int i = 1; i < 4; ++i) {
+    const float fill = static_cast<float>(i);
+    queued.emplace_back(fill, batcher.Submit(MakeWindow(fill)));
   }
-  batcher.Shutdown();
-  for (int i = 0; i < 3; ++i) {
-    const MicroBatcher::Ticket ticket = futures[static_cast<size_t>(i)].get();
-    ASSERT_TRUE(ticket.value.Defined());  // drained, not dropped
-    EXPECT_EQ(ticket.value.Data()[0], static_cast<float>(i));
-  }
-  const MicroBatcher::Stats stats = batcher.GetStats();
-  EXPECT_EQ(stats.requests, 3);
-  EXPECT_GE(stats.drain_flushes, 1);
+  std::future<void> shutdown =
+      std::async(std::launch::async, [&batcher] { batcher.Shutdown(); });
 
-  // Submitting after shutdown resolves immediately with an undefined Tensor.
-  const MicroBatcher::Ticket late = batcher.Submit(MakeWindow(9.0f)).get();
+  // Once the drain has begun, a submit resolves at once with an undefined
+  // Tensor even though the worker is still blocked. Submits that raced
+  // ahead of it were queued and are drained like the rest.
+  MicroBatcher::Ticket late;
+  while (true) {
+    std::future<MicroBatcher::Ticket> future = batcher.Submit(MakeWindow(9.0f));
+    if (!Ready(future)) {
+      queued.emplace_back(9.0f, std::move(future));
+      continue;
+    }
+    late = future.get();
+    if (!late.queue_full) break;
+    std::this_thread::yield();
+  }
   EXPECT_FALSE(late.value.Defined());
   EXPECT_EQ(late.batch_size, 0);
+
+  latch.Open();
+  shutdown.get();
+  for (auto& [fill, future] : queued) {
+    const MicroBatcher::Ticket ticket = future.get();
+    ASSERT_TRUE(ticket.value.Defined());  // drained, not dropped
+    EXPECT_EQ(ticket.value.Data()[0], fill);
+  }
+  const MicroBatcher::Stats stats = batcher.GetStats();
+  EXPECT_EQ(stats.requests, static_cast<int64_t>(queued.size()));
+  EXPECT_EQ(stats.drain_flushes, 1);
+
+  EXPECT_FALSE(batcher.Submit(MakeWindow(9.0f)).get().value.Defined());
   batcher.Shutdown();  // idempotent
 }
 
@@ -675,7 +797,6 @@ TEST(ServeLoopbackTest, EndToEndMatchesDirectPredictBitwise) {
 
   EngineConfig config;
   config.batcher.worker_threads = 2;
-  config.batcher.max_wait_us = 500;
   InferenceEngine engine(std::move(serving), config);
   PredictService service(&engine);
   HttpServer server;
@@ -793,7 +914,6 @@ TEST(ServeLoopbackTest, TraceparentRoundTripAndAccessLogExactlyOnce) {
   LoadedBundle bundle = TrainAndRoundTripBundle(dir.path);
   EngineConfig config;
   config.batcher.worker_threads = 1;
-  config.batcher.max_wait_us = 500;
   InferenceEngine engine(std::move(bundle), config);
   PredictService service(&engine);
   HttpServer server;
@@ -900,7 +1020,6 @@ TEST(ServeLoopbackTest, ConcurrentRequestsAllAnswered) {
   LoadedBundle bundle = TrainAndRoundTripBundle(dir.path);
   EngineConfig config;
   config.batcher.max_batch_size = 4;
-  config.batcher.max_wait_us = 1000;
   config.batcher.worker_threads = 2;
   config.cache_entries = 0;  // force every request through the batcher
   InferenceEngine engine(std::move(bundle), config);
@@ -928,6 +1047,96 @@ TEST(ServeLoopbackTest, ConcurrentRequestsAllAnswered) {
   const MicroBatcher::Stats stats = engine.batcher_stats();
   EXPECT_EQ(stats.requests, 32);
   EXPECT_GT(stats.batches, 0);
+  engine.Shutdown();
+}
+
+// A served model whose every batch waits on a BatchLatch before running
+// the wrapped model.
+class LatchedForecaster : public SthslForecaster {
+ public:
+  LatchedForecaster(std::unique_ptr<SthslForecaster> inner, BatchLatch* latch)
+      : SthslForecaster(SthslConfig()),
+        inner_(std::move(inner)),
+        latch_(latch) {}
+
+  std::vector<Tensor> PredictWindows(
+      const std::vector<Tensor>& windows) override {
+    latch_->Enter(windows.size());
+    return inner_->PredictWindows(windows);
+  }
+
+ private:
+  std::unique_ptr<SthslForecaster> inner_;
+  BatchLatch* latch_;
+};
+
+TEST(ServeLoopbackTest, FullQueueAnswers503WithRetryAfter) {
+  TempDir dir;
+  LoadedBundle bundle = TrainAndRoundTripBundle(dir.path);
+  BatchLatch latch;
+  bundle.model =
+      std::make_unique<LatchedForecaster>(std::move(bundle.model), &latch);
+  EngineConfig config;
+  config.batcher.max_batch_size = 1;
+  config.batcher.worker_threads = 1;
+  config.cache_entries = 0;  // every request reaches the batcher
+  InferenceEngine engine(std::move(bundle), config);
+  PredictService service(&engine);
+
+  const std::vector<int64_t> shape = engine.manifest().WindowShape();
+  int64_t numel = 1;
+  for (int64_t extent : shape) numel *= extent;
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/v1/predict";
+  request.body = "{\"window\": [";
+  for (int64_t i = 0; i < numel; ++i) request.body += i == 0 ? "1" : ",1";
+  request.body += "]}";
+
+  // One request holds the only worker; the next kMaxQueuedWindows fill the
+  // queue behind it, and the kExcess after those find it full.
+  constexpr size_t kExcess = 3;
+  const size_t total = 1 + MicroBatcher::kMaxQueuedWindows + kExcess;
+  std::vector<HttpResponse> responses(total);
+  std::atomic<size_t> answered{0};
+  std::vector<std::thread> clients;
+  clients.emplace_back([&] { responses[0] = service.HandlePredict(request); });
+  ASSERT_TRUE(latch.WaitForBatches(1));
+  for (size_t i = 1; i < total; ++i) {
+    clients.emplace_back([&, i] {
+      responses[i] = service.HandlePredict(request);
+      answered.fetch_add(1);
+    });
+  }
+  // Only rejected requests can be answered while the latch is closed.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (answered.load() < kExcess &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(answered.load(), kExcess);
+  latch.Open();
+  for (std::thread& client : clients) client.join();
+
+  size_t ok = 0;
+  size_t unavailable = 0;
+  for (const HttpResponse& response : responses) {
+    if (response.status == 200) {
+      ++ok;
+      continue;
+    }
+    ASSERT_EQ(response.status, 503) << response.body;
+    ++unavailable;
+    const auto retry_after = std::find(
+        response.headers.begin(), response.headers.end(),
+        std::pair<std::string, std::string>("Retry-After", "1"));
+    EXPECT_NE(retry_after, response.headers.end()) << response.body;
+  }
+  EXPECT_EQ(ok, 1 + MicroBatcher::kMaxQueuedWindows);
+  EXPECT_EQ(unavailable, kExcess);
+  EXPECT_EQ(engine.batcher_stats().queue_full_rejects,
+            static_cast<int64_t>(kExcess));
   engine.Shutdown();
 }
 

@@ -1,5 +1,5 @@
 // Tests for the utility substrate: Status/Result, RNG distributions, CSV,
-// and the JSON writer.
+// and the JSON writer and parser.
 
 #include <bit>
 #include <cfloat>
@@ -41,6 +41,8 @@ TEST(StatusTest, ErrorCodesAndMessages) {
   EXPECT_EQ(Status::NotFound("x").code(), Status::Code::kNotFound);
   EXPECT_EQ(Status::OutOfRange("x").code(), Status::Code::kOutOfRange);
   EXPECT_EQ(Status::Internal("x").code(), Status::Code::kInternal);
+  EXPECT_EQ(Status::ResourceExhausted("x").code(),
+            Status::Code::kResourceExhausted);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             Status::Code::kFailedPrecondition);
 }
@@ -374,6 +376,43 @@ TEST(JsonWriterTest, DoublesRoundTripExactly) {
     ASSERT_EQ(std::bit_cast<uint64_t>(ParseJson(text).number),
               std::bit_cast<uint64_t>(value))
         << text;
+  }
+}
+
+TEST(JsonParserTest, NumbersMatchStrtodBitForBit) {
+  std::mt19937 bits(13);
+  std::vector<std::string> tokens = {"0", "-0", "1E5", "2.5e+3", "-7.25e-2",
+                                     "1.7976931348623157e308", "4e-320"};
+  while (tokens.size() < 20000) {
+    const float value = std::bit_cast<float>(static_cast<uint32_t>(bits()));
+    if (!std::isfinite(value)) continue;
+    char text[40];
+    std::snprintf(text, sizeof text, "%.9g", static_cast<double>(value));
+    tokens.emplace_back(text);
+  }
+  for (const std::string& token : tokens) {
+    const double expected = std::strtod(token.c_str(), nullptr);
+    ASSERT_EQ(std::bit_cast<uint64_t>(ParseJson(token).number),
+              std::bit_cast<uint64_t>(expected))
+        << token;
+    // Inside an array the number ends at a delimiter, not at the input end.
+    const json::JsonValue array = ParseJson("[" + token + ",1]");
+    ASSERT_EQ(std::bit_cast<uint64_t>(array.items.at(0).number),
+              std::bit_cast<uint64_t>(expected))
+        << token;
+  }
+}
+
+TEST(JsonParserTest, RejectsNumbersOutsideTheRfc8259Grammar) {
+  for (const char* token : {"+1", "01", "-01", ".5", "1.", "1e", "1e+", "-",
+                            "1.e5", "0x10", "1e400", "-1e400", "1e-400"}) {
+    for (const std::string& text :
+         {std::string(token), "[" + std::string(token) + "]"}) {
+      json::JsonValue value;
+      std::string error;
+      EXPECT_FALSE(json::JsonParser(text).Parse(&value, &error)) << text;
+      EXPECT_FALSE(error.empty()) << text;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // sthsl_serve — long-running crime-prediction inference service.
 //
 //   sthsl_serve --bundle DIR [--host 127.0.0.1] [--port 8080]
-//               [--threads N] [--max-batch N] [--max-wait-us N]
+//               [--threads N] [--exec-threads N] [--max-batch N]
 //               [--cache-entries N] [--cache-shards N]
 //
 // Loads a model bundle written by `sthsl_cli export-bundle` and answers
@@ -9,7 +9,9 @@
 //   GET  /healthz      readiness probe with bundle identity
 //   GET  /metrics      serve/* counters + latency/batch-size percentiles
 // until SIGTERM/SIGINT, then drains gracefully: stops accepting, finishes
-// in-flight requests, flushes the micro-batcher, exits 0. Every option can
+// in-flight requests, runs what the micro-batcher still holds, exits 0. An
+// idle batcher worker takes queued windows at once, so there is no batch
+// wait to tune. Every option can
 // also come from the environment (STHSL_SERVE_PORT etc., flags win).
 // See docs/serving.md for the full endpoint and tuning reference.
 
@@ -47,16 +49,15 @@ int Usage() {
       "  --exec-threads N   kernel threads per inference worker (default:\n"
       "                     hardware threads / worker threads, min 1, so\n"
       "                     workers x kernel threads never oversubscribes)\n"
-      "  --max-batch N      micro-batch size bound (default 8)\n"
-      "  --max-wait-us N    micro-batch wait bound in µs (default 2000)\n"
+      "  --max-batch N      most windows one worker takes at once "
+      "(default 8)\n"
       "  --cache-entries N  LRU prediction-cache entries, 0 disables "
       "(default 1024)\n"
       "  --cache-shards N   cache lock shards (default 8)\n"
       "environment fallbacks: STHSL_SERVE_HOST, STHSL_SERVE_PORT,\n"
       "  STHSL_SERVE_THREADS, STHSL_SERVE_EXEC_THREADS, "
       "STHSL_SERVE_MAX_BATCH,\n"
-      "  STHSL_SERVE_MAX_WAIT_US, STHSL_SERVE_CACHE_ENTRIES, "
-      "STHSL_SERVE_CACHE_SHARDS\n"
+      "  STHSL_SERVE_CACHE_ENTRIES, STHSL_SERVE_CACHE_SHARDS\n"
       "  (STHSL_THREADS also sets the kernel thread count; --exec-threads\n"
       "  and STHSL_SERVE_EXEC_THREADS win over it)\n");
   return 2;
@@ -84,8 +85,6 @@ int main(int argc, char** argv) {
       {"--exec-threads", "STHSL_SERVE_EXEC_THREADS", 1, 1024, &exec_threads},
       {"--max-batch", "STHSL_SERVE_MAX_BATCH", 1, 65536,
        &config.batcher.max_batch_size},
-      {"--max-wait-us", "STHSL_SERVE_MAX_WAIT_US", 0, 60'000'000,
-       &config.batcher.max_wait_us},
       {"--cache-entries", "STHSL_SERVE_CACHE_ENTRIES", 0, int64_t{1} << 30,
        &config.cache_entries},
       {"--cache-shards", "STHSL_SERVE_CACHE_SHARDS", 1, 1024,
@@ -173,7 +172,7 @@ int main(int argc, char** argv) {
 
   STHSL_LOG(Info) << "stop signal received; draining";
   server.Drain();     // finish in-flight HTTP requests first
-  engine.Shutdown();  // then flush the micro-batcher queue
+  engine.Shutdown();  // then drain the micro-batcher queue
   STHSL_LOG(Info) << "drained cleanly after " << server.requests_served()
                   << " requests";
   return 0;
