@@ -6,9 +6,8 @@
 //
 // After the google-benchmark suite, main() runs a thread-scaling sweep of
 // the exec-layer kernels (1/2/4/8 threads, BENCH_parallel.json), a SIMD
-// variant sweep plus fusion-footprint measurement (BENCH_kernels.json), and
-// the roofline report (BENCH_roofline.json), all under
-// $STHSL_BENCH_JSON_DIR.
+// variant sweep (BENCH_kernels.json), and the roofline report
+// (BENCH_roofline.json), all under $STHSL_BENCH_JSON_DIR.
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +21,6 @@
 #include "core/sthsl_model.h"
 #include "exec/exec.h"
 #include "simd/simd.h"
-#include "tensor/fusion.h"
 #include "tensor/optimizer.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -160,8 +158,6 @@ void RunThreadScalingSweep() {
   Tensor c2_b = Tensor::Randn({4}, rng);
   Tensor c1_in = Tensor::Randn({1024, 4, 14}, rng);
   Tensor c1_w = Tensor::Randn({4, 4, 3}, rng);
-  Tensor ex = Tensor::Randn({int64_t{1} << 20}, rng);
-  Tensor ey = Tensor::Randn({int64_t{1} << 20}, rng);
 
   const std::vector<SweepKernel> kernels = {
       {"gemm_nn_256", [&] { benchmark::DoNotOptimize(MatMul(ga, gb)); }},
@@ -169,12 +165,6 @@ void RunThreadScalingSweep() {
        [&] { benchmark::DoNotOptimize(Conv2d(c2_in, c2_w, c2_b, 1, 1)); }},
       {"conv1d_b1024",
        [&] { benchmark::DoNotOptimize(Conv1d(c1_in, c1_w, Tensor(), 1)); }},
-      // Data() evaluates the pending chain; without it the sweep would time
-      // only the chain's construction.
-      {"fused_elementwise_1m",
-       [&] {
-         benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex)).Data().data());
-       }},
   };
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   constexpr int kIters = 5;
@@ -220,30 +210,20 @@ void RunThreadScalingSweep() {
   bench::MaybeWriteBenchJson("parallel", json.str());
 }
 
-// -- ISA sweep + fusion memory bench ------------------------------------------
+// -- ISA sweep ----------------------------------------------------------------
 
 // Re-times the hot kernels under every microkernel set compiled into this
 // binary (dispatched best first, then each named variant) so the artifact
-// shows what the SIMD dispatch layer buys on this host, and measures the
-// peak tensor footprint of an elementwise chain with fusion on vs off.
-// Written to $STHSL_BENCH_JSON_DIR/BENCH_kernels.json.
-void RunIsaSweepAndFusionBench() {
+// shows what the SIMD dispatch layer buys on this host. Written to
+// $STHSL_BENCH_JSON_DIR/BENCH_kernels.json.
+void RunIsaSweep() {
   Rng rng(10);
   Tensor ga = Tensor::Randn({256, 256}, rng);
   Tensor gb = Tensor::Randn({256, 256}, rng);
   Tensor logits = Tensor::Randn({256, 256}, rng);
-  Tensor ex = Tensor::Randn({int64_t{1} << 20}, rng);
-  Tensor ey = Tensor::Randn({int64_t{1} << 20}, rng);
   const std::vector<SweepKernel> kernels = {
       {"gemm_nn_256", [&] { benchmark::DoNotOptimize(MatMul(ga, gb)); }},
       {"softmax_256", [&] { benchmark::DoNotOptimize(Softmax(logits, 1)); }},
-      {"elementwise_chain_1m",
-       // .Data() forces materialization — the chain is lazy, so timing the
-       // tensor construction alone would measure nothing.
-       [&] {
-         benchmark::DoNotOptimize(
-             Sigmoid(Add(Mul(ex, ey), ex)).Data().data());
-       }},
   };
   constexpr int kIters = 5;
 
@@ -283,35 +263,7 @@ void RunIsaSweepAndFusionBench() {
     json.EndArray().EndObject();
     bench::PrintTableRow(kernel.name, row, 24, 12, 1);
   }
-  json.EndArray();
-
-  // Fusion footprint: a 4-step unary/binary chain on a 1M-element tensor.
-  // Eager evaluation materializes every intermediate; the fused chain
-  // allocates only the final buffer.
-  const auto peak_bytes = [&](int fusion_mode) {
-    SetFusionEnabledForTesting(fusion_mode);
-    const bool previous = obs::SetTraceEnabled(true);
-    obs::ResetProfiler();
-    benchmark::DoNotOptimize(
-        MulScalar(Sigmoid(AddScalar(Mul(ex, ey), 0.5f)), 2.0f).Data());
-    const int64_t peak = obs::PeakTensorBytes();
-    obs::ResetProfiler();
-    obs::SetTraceEnabled(previous);
-    SetFusionEnabledForTesting(-1);
-    return peak;
-  };
-  const int64_t fused_peak = peak_bytes(1);
-  const int64_t eager_peak = peak_bytes(0);
-  std::printf("fusion peak tensor bytes: fused=%lld eager=%lld (%.2fx)\n",
-              static_cast<long long>(fused_peak),
-              static_cast<long long>(eager_peak),
-              fused_peak > 0 ? static_cast<double>(eager_peak) /
-                                   static_cast<double>(fused_peak)
-                             : 0.0);
-  json.Key("fusion").BeginObject().Key("chain").String(
-      "mul_scalar(sigmoid(add_scalar(mul(x, y), 0.5)), 2.0) over 2^20 floats");
-  json.Key("fused_peak_bytes").Int(fused_peak);
-  json.Key("eager_peak_bytes").Int(eager_peak).EndObject().EndObject();
+  json.EndArray().EndObject();
   bench::MaybeWriteBenchJson("kernels", json.str());
 }
 
@@ -384,7 +336,7 @@ void RunRooflineBench() {
       {"elementwise_1m",
        [&] {
          NoGradGuard no_grad;
-         benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex)).Data().data());
+         benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex)));
        }},
       {"sgd_1m",
        [&] {
@@ -471,7 +423,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   sthsl::RunThreadScalingSweep();
-  sthsl::RunIsaSweepAndFusionBench();
+  sthsl::RunIsaSweep();
   sthsl::RunRooflineBench();
   return 0;
 }

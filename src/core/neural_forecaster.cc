@@ -398,11 +398,8 @@ std::vector<Tensor> NeuralForecaster::PredictWindows(
   std::vector<Tensor> predictions;
   predictions.reserve(windows.size());
   for (const Tensor& window : windows) {
-    Tensor prediction = ClampMin(Forward(window, /*training=*/false), 0.0f);
-    // Evaluate a pending fused chain here, on the caller's clock, rather
-    // than on whichever thread first reads the result.
-    (void)prediction.Data();
-    predictions.push_back(std::move(prediction));
+    predictions.push_back(
+        ClampMin(Forward(window, /*training=*/false), 0.0f));
   }
   return predictions;
 }

@@ -341,7 +341,22 @@ void HttpServer::AcceptLoop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    // Join the threads of connections that have closed: an exited thread
+    // keeps its stack mapped until it is joined, so without this a long
+    // run of short connections grows the address space without bound.
+    for (auto it = conn_threads_.begin(); it != conn_threads_.end();) {
+      if (!it->done.load()) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = conn_threads_.erase(it);
+    }
+    std::atomic<bool>* done = &conn_threads_.emplace_back().done;
+    conn_threads_.back().thread = std::thread([this, fd, done] {
+      HandleConnection(fd);
+      done->store(true);
+    });
   }
 }
 
@@ -449,13 +464,13 @@ void HttpServer::Drain() {
     listen_fd_ = -1;
   }
   // After the accept thread has exited no new connection threads appear.
-  std::vector<std::thread> threads;
+  std::list<ConnThread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     threads.swap(conn_threads_);
   }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
+  for (ConnThread& conn : threads) {
+    if (conn.thread.joinable()) conn.thread.join();
   }
   if (port_ != 0) {
     STHSL_LOG(Info) << "http server on port " << port_ << " drained ("

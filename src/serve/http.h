@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -137,8 +138,15 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   std::atomic<int64_t> requests_served_{0};
   std::thread accept_thread_;
+
+  /// One connection's thread and whether HandleConnection has returned.
+  /// List nodes never move, so the thread can set `done` through a pointer.
+  struct ConnThread {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  std::list<ConnThread> conn_threads_;
 };
 
 /// Blocking HTTP/1.1 client over one keep-alive connection to `host:port`,

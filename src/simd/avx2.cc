@@ -340,15 +340,6 @@ void AddAvx2(int64_t n, const float* x, const float* y, float* out) {
   for (int64_t i = n8; i < n; ++i) out[i] = x[i] + y[i];
 }
 
-void SubAvx2(int64_t n, const float* x, const float* y, float* out) {
-  const int64_t n8 = n & ~int64_t{7};
-  for (int64_t i = 0; i < n8; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_sub_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-  }
-  for (int64_t i = n8; i < n; ++i) out[i] = x[i] - y[i];
-}
-
 void MulAvx2(int64_t n, const float* x, const float* y, float* out) {
   const int64_t n8 = n & ~int64_t{7};
   for (int64_t i = 0; i < n8; i += 8) {
@@ -356,15 +347,6 @@ void MulAvx2(int64_t n, const float* x, const float* y, float* out) {
         out + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
   }
   for (int64_t i = n8; i < n; ++i) out[i] = x[i] * y[i];
-}
-
-void DivAvx2(int64_t n, const float* x, const float* y, float* out) {
-  const int64_t n8 = n & ~int64_t{7};
-  for (int64_t i = 0; i < n8; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_div_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-  }
-  for (int64_t i = n8; i < n; ++i) out[i] = x[i] / y[i];
 }
 
 void AddScalarAvx2(int64_t n, const float* x, float s, float* out) {
@@ -376,15 +358,6 @@ void AddScalarAvx2(int64_t n, const float* x, float s, float* out) {
   for (int64_t i = n8; i < n; ++i) out[i] = x[i] + s;
 }
 
-void MulScalarAvx2(int64_t n, const float* x, float s, float* out) {
-  const __m256 sv = _mm256_set1_ps(s);
-  const int64_t n8 = n & ~int64_t{7};
-  for (int64_t i = 0; i < n8; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), sv));
-  }
-  for (int64_t i = n8; i < n; ++i) out[i] = x[i] * s;
-}
-
 void DivScalarAvx2(int64_t n, const float* x, float s, float* out) {
   const __m256 sv = _mm256_set1_ps(s);
   const int64_t n8 = n & ~int64_t{7};
@@ -392,16 +365,6 @@ void DivScalarAvx2(int64_t n, const float* x, float s, float* out) {
     _mm256_storeu_ps(out + i, _mm256_div_ps(_mm256_loadu_ps(x + i), sv));
   }
   for (int64_t i = n8; i < n; ++i) out[i] = x[i] / s;
-}
-
-void ReluAvx2(int64_t n, const float* x, float* out) {
-  // vmaxps(x, 0) == (x > 0) ? x : 0, including -0 -> +0 and NaN -> 0.
-  const __m256 zero = _mm256_setzero_ps();
-  const int64_t n8 = n & ~int64_t{7};
-  for (int64_t i = 0; i < n8; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
-  }
-  for (int64_t i = n8; i < n; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
 void LeakyReluAvx2(int64_t n, const float* x, float slope, float* out) {
@@ -417,15 +380,6 @@ void LeakyReluAvx2(int64_t n, const float* x, float slope, float* out) {
   for (int64_t i = n8; i < n; ++i) {
     out[i] = x[i] > 0.0f ? x[i] : slope * x[i];
   }
-}
-
-void ClampMinAvx2(int64_t n, const float* x, float floor, float* out) {
-  const __m256 fv = _mm256_set1_ps(floor);
-  const int64_t n8 = n & ~int64_t{7};
-  for (int64_t i = 0; i < n8; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(x + i), fv));
-  }
-  for (int64_t i = n8; i < n; ++i) out[i] = x[i] > floor ? x[i] : floor;
 }
 
 void LeakyReluGradAvx2(int64_t n, const float* fx, const float* g,
@@ -533,15 +487,10 @@ const MicrokernelSet* Avx2KernelsOrNull() {
       ReduceSumAvx2,
       ReduceMaxAvx2,
       AddAvx2,
-      SubAvx2,
       MulAvx2,
-      DivAvx2,
       AddScalarAvx2,
-      MulScalarAvx2,
       DivScalarAvx2,
-      ReluAvx2,
       LeakyReluAvx2,
-      ClampMinAvx2,
       LeakyReluGradAvx2,
       SgdStepAvx2,
       SgdMomentumStepAvx2,

@@ -146,42 +146,22 @@ void AddPortable(int64_t n, const float* x, const float* y, float* out) {
   for (int64_t i = 0; i < n; ++i) out[i] = x[i] + y[i];
 }
 
-void SubPortable(int64_t n, const float* x, const float* y, float* out) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x[i] - y[i];
-}
-
 void MulPortable(int64_t n, const float* x, const float* y, float* out) {
   for (int64_t i = 0; i < n; ++i) out[i] = x[i] * y[i];
-}
-
-void DivPortable(int64_t n, const float* x, const float* y, float* out) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x[i] / y[i];
 }
 
 void AddScalarPortable(int64_t n, const float* x, float s, float* out) {
   for (int64_t i = 0; i < n; ++i) out[i] = x[i] + s;
 }
 
-void MulScalarPortable(int64_t n, const float* x, float s, float* out) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x[i] * s;
-}
-
 void DivScalarPortable(int64_t n, const float* x, float s, float* out) {
   for (int64_t i = 0; i < n; ++i) out[i] = x[i] / s;
-}
-
-void ReluPortable(int64_t n, const float* x, float* out) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
 void LeakyReluPortable(int64_t n, const float* x, float slope, float* out) {
   for (int64_t i = 0; i < n; ++i) {
     out[i] = x[i] > 0.0f ? x[i] : slope * x[i];
   }
-}
-
-void ClampMinPortable(int64_t n, const float* x, float floor, float* out) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x[i] > floor ? x[i] : floor;
 }
 
 void LeakyReluGradPortable(int64_t n, const float* fx, const float* g,
@@ -236,15 +216,10 @@ const MicrokernelSet& PortableKernels() {
       ReduceSumPortable,
       ReduceMaxPortable,
       AddPortable,
-      SubPortable,
       MulPortable,
-      DivPortable,
       AddScalarPortable,
-      MulScalarPortable,
       DivScalarPortable,
-      ReluPortable,
       LeakyReluPortable,
-      ClampMinPortable,
       LeakyReluGradPortable,
       SgdStepPortable,
       SgdMomentumStepPortable,

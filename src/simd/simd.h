@@ -3,10 +3,10 @@
 
 // Runtime-dispatched SIMD microkernel layer.
 //
-// Every inner loop of the tensor tier (GEMM and conv register tiles,
-// reductions, elementwise strips, optimizer updates) calls through the
-// MicrokernelSet selected here once at startup: AVX2+FMA on x86-64 and a
-// portable scalar fallback everywhere. The STHSL_SIMD
+// The hot inner loops of the tensor tier (GEMM and conv register tiles,
+// reductions, softmax and conv-block strips, optimizer updates) call
+// through the MicrokernelSet selected here once at startup: AVX2+FMA on
+// x86-64 and a portable scalar fallback everywhere. The STHSL_SIMD
 // environment variable (avx2 | portable) overrides the automatic
 // choice for A/B comparisons and debugging; tests can swap sets at runtime
 // with SetKernelsForTesting.
@@ -144,21 +144,13 @@ struct MicrokernelSet {
 
   // Elementwise strips (out may alias x and/or y; same-index access only).
   void (*add)(int64_t n, const float* x, const float* y, float* out);
-  void (*sub)(int64_t n, const float* x, const float* y, float* out);
   void (*mul)(int64_t n, const float* x, const float* y, float* out);
-  void (*div)(int64_t n, const float* x, const float* y, float* out);
   /// out[i] = x[i] + s
   void (*add_scalar)(int64_t n, const float* x, float s, float* out);
-  /// out[i] = x[i] * s
-  void (*mul_scalar)(int64_t n, const float* x, float s, float* out);
   /// out[i] = x[i] / s  (true division — not multiplication by 1/s)
   void (*div_scalar)(int64_t n, const float* x, float s, float* out);
-  /// out[i] = x[i] > 0 ? x[i] : 0
-  void (*relu)(int64_t n, const float* x, float* out);
   /// out[i] = x[i] > 0 ? x[i] : slope * x[i]
   void (*leaky_relu)(int64_t n, const float* x, float slope, float* out);
-  /// out[i] = x[i] > floor ? x[i] : floor
-  void (*clamp_min)(int64_t n, const float* x, float floor, float* out);
   /// out[i] = g[i] * (fx[i] > 0 ? 1 : slope): the LeakyRelu row's
   /// derivative read off the output fx (fx > 0 exactly when x > 0, for
   /// slope >= 0), times the incoming gradient g.

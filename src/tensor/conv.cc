@@ -26,7 +26,6 @@
 #include "simd/simd.h"
 #include "tensor/debug_validator.h"
 #include "tensor/elementwise_ops.h"
-#include "tensor/fusion.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 #include "util/obs/obs.h"
@@ -311,13 +310,12 @@ Tensor ConvBlock(const Tensor& x, const Tensor& weight, const Tensor& bias,
       c, xv, weight.Data().data(),
       bias.Defined() ? bias.Data().data() : nullptr,
       [xv, mv, slope](float* buf, int64_t lo, int64_t hi) {
+        const auto& ks = simd::Kernels();
         float* o = buf + lo;
         const int64_t len = hi - lo;
-        if (mv != nullptr) {
-          ApplyFusedStep(FusedOp::kMul, 0.0f, o, mv + lo, len);
-        }
-        ApplyFusedStep(FusedOp::kAdd, 0.0f, o, xv + lo, len);
-        ApplyFusedStep(FusedOp::kLeakyRelu, slope, o, nullptr, len);
+        if (mv != nullptr) ks.mul(len, o, mv + lo, o);
+        ks.add(len, o, xv + lo, o);
+        ks.leaky_relu(len, o, slope, o);
       });
 
   // The backward reads the output through a weak reference: a strong one

@@ -49,21 +49,6 @@ int64_t ConvCells(const std::vector<Tensor>& inputs,
   return cells;
 }
 
-// Step count K of a "fused_elemwise<K>" chain op, or 0 for other names.
-int64_t FusedChainSteps(const std::string& name) {
-  constexpr const char kPrefix[] = "fused_elemwise";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (name.compare(0, kPrefixLen, kPrefix) != 0 || name.size() == kPrefixLen) {
-    return 0;
-  }
-  int64_t k = 0;
-  for (size_t i = kPrefixLen; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    k = k * 10 + (name[i] - '0');
-  }
-  return k;
-}
-
 int64_t SumInputNumels(const std::vector<Tensor>& inputs) {
   int64_t n = 0;
   for (const auto& input : inputs) {
@@ -84,7 +69,6 @@ int64_t ForwardOpFlops(const std::string& op_name,
   if (IsElementwise(op_name)) {
     return out_numel;
   }
-  if (const int64_t k = FusedChainSteps(op_name)) return k * out_numel;
   if (IsReduction(op_name)) return SumInputNumels(inputs);
   return 0;
 }

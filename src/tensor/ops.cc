@@ -11,7 +11,6 @@
 #include "simd/simd.h"
 #include "tensor/debug_validator.h"
 #include "tensor/elementwise_ops.h"
-#include "tensor/fusion.h"
 #include "util/check.h"
 
 namespace sthsl {
@@ -148,10 +147,15 @@ Tensor ReduceGradTo(const Tensor& grad, const std::vector<int64_t>& target) {
 }
 
 // Generic broadcasting binary op. `fwd` computes the output value; `dx`/`dy`
-// compute the local partial derivatives given (x, y).
+// compute the local partial derivatives given (x, y). With `checks`,
+// STHSL_DEBUG_CHECKS validates both inputs first.
 template <typename Fwd, typename Dx, typename Dy>
-Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
-                       Fwd fwd, Dx dx, Dy dy) {
+Tensor BroadcastBinary(const char* name, bool checks, const Tensor& a,
+                       const Tensor& b, Fwd fwd, Dx dx, Dy dy) {
+  if (checks && DebugChecksEnabled()) {
+    ValidateOpInput(name, "a", a);
+    ValidateOpInput(name, "b", b);
+  }
   const auto out_shape = BroadcastShapes(a.Shape(), b.Shape());
   const int64_t n = NumelOf(out_shape);
   std::vector<float> out(static_cast<size_t>(n));
@@ -232,8 +236,11 @@ Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
 // Generic elementwise unary op with local derivative `df(x, fx)`. Only ops
 // whose derivative reads f(x) (kDfReadsFx) keep a detached copy of the
 // outputs for backward; the others pass fx = 0 to `df`, which ignores it.
+// With `checks`, STHSL_DEBUG_CHECKS validates the input first.
 template <bool kDfReadsFx, typename Fwd, typename Df>
-Tensor UnaryOp(const char* name, const Tensor& a, Fwd fwd, Df df) {
+Tensor UnaryOp(const char* name, bool checks, const Tensor& a, Fwd fwd,
+               Df df) {
+  if (checks && DebugChecksEnabled()) ValidateOpInput(name, "a", a);
   const int64_t n = a.Numel();
   std::vector<float> out(static_cast<size_t>(n));
   const auto& av = a.Data();
@@ -269,57 +276,31 @@ Tensor UnaryOp(const char* name, const Tensor& a, Fwd fwd, Df df) {
       });
 }
 
-// Every elementwise op validates its inputs (rows with checks), then offers
-// itself to the fusion layer: same-shape chains build a pending FusedChain
-// (one loop nest, no intermediates — see tensor/fusion.h) and only fall
-// through to the eager kernels when fusion is off, the shapes broadcast or
-// the result records a gradient.
-template <typename Fwd, typename Dx, typename Dy>
-Tensor ElementwiseBinary(FusedOp op, const char* name, bool checks,
-                         const Tensor& a, const Tensor& b, Fwd fwd, Dx dx,
-                         Dy dy) {
-  if (checks && DebugChecksEnabled()) {
-    ValidateOpInput(name, "a", a);
-    ValidateOpInput(name, "b", b);
-  }
-  if (Tensor f = TryFuseBinary(op, a, b); f.Defined()) return f;
-  return BroadcastBinary(name, a, b, fwd, dx, dy);
-}
-
-template <bool kDfReadsFx, typename Fwd, typename Df>
-Tensor ElementwiseUnary(FusedOp op, const char* name, bool checks,
-                        const Tensor& a, float s, Fwd fwd, Df df) {
-  if (checks && DebugChecksEnabled()) ValidateOpInput(name, "a", a);
-  if (Tensor f = TryFuseUnary(op, a, s); f.Defined()) return f;
-  return UnaryOp<kDfReadsFx>(name, a, fwd, df);
-}
-
 }  // namespace
 
 // -- Elementwise (generated from tensor/elementwise_ops.h) --------------------
 
 #define STHSL_DEFINE_BINARY(Fn, name, fwd, dx, dy, reads_fx, checks)         \
   Tensor Fn(const Tensor& a, const Tensor& b) {                               \
-    return ElementwiseBinary(                                                 \
-        FusedOp::k##Fn, name, checks, a, b,                                   \
-        [](float x, float y) { return fwd; },                                 \
+    return BroadcastBinary(                                                   \
+        name, checks, a, b, [](float x, float y) { return fwd; },             \
         [](float x, float y) { return dx; },                                  \
         [](float x, float y) { return dy; });                                 \
   }
 #define STHSL_DEFINE_UNARY(Fn, name, fwd, df, unused, reads_fx, checks)      \
   Tensor Fn(const Tensor& a) {                                                \
-    return ElementwiseUnary<reads_fx>(                                        \
-        FusedOp::k##Fn, name, checks, a, 0.0f,                                \
-        [](float x) { return fwd; }, [](float x, float fx) { return df; });   \
+    return UnaryOp<reads_fx>(                                                 \
+        name, checks, a, [](float x) { return fwd; },                         \
+        [](float x, float fx) { return df; });                                \
   }
 #define STHSL_DEFINE_SCALAR(Fn, name, fwd, df, unused, reads_fx, checks)     \
   Tensor Fn(const Tensor& a, float s) {                                       \
-    return ElementwiseUnary<reads_fx>(                                        \
-        FusedOp::k##Fn, name, checks, a, s, [=](float x) { return fwd; },     \
+    return UnaryOp<reads_fx>(                                                 \
+        name, checks, a, [=](float x) { return fwd; },                        \
         [=](float x, float fx) { return df; });                               \
   }
 #define STHSL_DEFINE_ELEMENTWISE(Fn, name, kind, fwd, d0, d1, reads_fx,      \
-                                 kernel, checks)                              \
+                                 checks)                                      \
   STHSL_DEFINE_##kind(Fn, name, fwd, d0, d1, reads_fx, checks)
 STHSL_ELEMENTWISE_OPS(STHSL_DEFINE_ELEMENTWISE)
 #undef STHSL_DEFINE_ELEMENTWISE

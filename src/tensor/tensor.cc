@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "tensor/debug_validator.h"
-#include "tensor/fusion.h"
 #include "tensor/kernel_cost.h"
 #include "util/check.h"
 #include "util/obs/obs.h"
@@ -170,13 +169,11 @@ Tensor& Tensor::SetRequiresGrad(bool value) {
 
 const std::vector<float>& Tensor::Data() const {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   return impl_->data;
 }
 
 std::vector<float>& Tensor::MutableData() {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   return impl_->data;
 }
 
@@ -187,7 +184,6 @@ const std::vector<float>& Tensor::Grad() const {
 
 std::vector<float>& Tensor::MutableGrad() {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   if (impl_->grad.empty()) impl_->grad.assign(impl_->data.size(), 0.0f);
   return impl_->grad;
 }
@@ -199,13 +195,11 @@ void Tensor::ZeroGrad() {
 
 float Tensor::Item() const {
   STHSL_CHECK_EQ(Numel(), 1) << "Item() requires a 1-element tensor";
-  MaterializePending(*impl_);
   return impl_->data[0];
 }
 
 float Tensor::At(int64_t flat_index) const {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   STHSL_CHECK(flat_index >= 0 &&
               flat_index < static_cast<int64_t>(impl_->data.size()))
       << "flat index out of range: " << flat_index;
@@ -213,7 +207,6 @@ float Tensor::At(int64_t flat_index) const {
 }
 
 float Tensor::At(const std::vector<int64_t>& index) const {
-  MaterializePending(*impl_);
   const auto& shape = Shape();
   STHSL_CHECK_EQ(index.size(), shape.size());
   const auto strides = StridesOf(shape);
@@ -232,7 +225,6 @@ std::shared_ptr<GradNode> Tensor::GradFn() const {
 
 Tensor Tensor::Detach() const {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = impl_->shape;
   impl->data = impl_->data;  // copy values; no autograd linkage
@@ -248,7 +240,6 @@ namespace {
 
 void AccumulateGrad(const std::shared_ptr<TensorImpl>& impl,
                     const Tensor& grad) {
-  MaterializePending(*impl);
   if (DebugChecksEnabled()) ValidateGradAccumulation(*impl, grad);
   STHSL_CHECK_EQ(static_cast<int64_t>(impl->data.size()), grad.Numel())
       << "gradient shape mismatch in accumulation";
@@ -297,10 +288,6 @@ void Tensor::Backward(const Tensor& seed) const {
   STHSL_CHECK(Defined());
   STHSL_CHECK(impl_->requires_grad || impl_->grad_fn)
       << "Backward on a tensor that is not part of an autograd graph";
-  // Evaluate a pending loss before the pass starts, so its forward cost is
-  // attributed as forward work rather than inside the backward guard below.
-  MaterializePending(*impl_);
-
   Tensor initial = seed;
   if (!initial.Defined()) {
     STHSL_CHECK_EQ(Numel(), 1)
@@ -370,7 +357,6 @@ void Tensor::Backward(const Tensor& seed) const {
 
 std::string Tensor::ToString() const {
   if (!Defined()) return "Tensor(undefined)";
-  MaterializePending(*impl_);
   std::ostringstream os;
   os << "Tensor(shape=[";
   for (size_t i = 0; i < impl_->shape.size(); ++i) {

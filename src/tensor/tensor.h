@@ -13,19 +13,12 @@ namespace sthsl {
 
 class Tensor;
 struct GradNode;
-struct FusedChain;
 
 /// Shared state of a Tensor: a contiguous row-major float32 buffer plus the
 /// autograd bookkeeping. Copies of a Tensor alias the same impl.
 struct TensorImpl {
   std::vector<int64_t> shape;
   std::vector<float> data;
-
-  /// Non-null for a *pending* tensor: `data` is empty and the values are an
-  /// unevaluated elementwise chain (see tensor/fusion.h). Every value
-  /// accessor materializes the chain first, so pending state never escapes
-  /// this layer.
-  std::shared_ptr<FusedChain> pending;
 
   /// True for leaf tensors the user asked gradients for, and for any tensor
   /// produced from such a leaf while gradient recording is enabled.

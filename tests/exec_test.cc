@@ -21,7 +21,6 @@
 #include "exec/exec.h"
 #include "nn/serialization.h"
 #include "simd/simd.h"
-#include "tensor/fusion.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 #include "tensor/tensor.h"
@@ -456,24 +455,20 @@ TEST(ExecDeterminism, TrainingTrajectoryAndCheckpointBitwiseIdentical) {
   std::remove(ckpt4.c_str());
 }
 
-// The SIMD dispatch / fusion refactor extends the contract: the training
-// trajectory and checkpoint bytes must also be invariant to WHICH kernel
-// variant runs (dispatched best vs portable reference) and to whether
-// elementwise chains are fused — at any thread count.
-TEST(ExecDeterminism, CheckpointBitwiseAcrossKernelSetFusionAndThreads) {
+// The SIMD dispatch extends the contract: the training trajectory and
+// checkpoint bytes must also be invariant to WHICH kernel variant runs
+// (dispatched best vs portable reference), at any thread count.
+TEST(ExecDeterminism, CheckpointBitwiseAcrossKernelSetAndThreads) {
   struct Config {
     const char* tag;
     const simd::MicrokernelSet* kernels;  // nullptr = dispatched default
     int threads;
-    int fusion;  // SetFusionEnabledForTesting mode (-1 = default policy)
   };
   const std::vector<Config> configs = {
-      {"dispatched/t1/fused", nullptr, 1, -1},
-      {"dispatched/t8/fused", nullptr, 8, -1},
-      {"dispatched/t1/unfused", nullptr, 1, 0},
-      {"portable/t1/fused", &simd::PortableKernels(), 1, -1},
-      {"portable/t8/fused", &simd::PortableKernels(), 8, -1},
-      {"portable/t8/unfused", &simd::PortableKernels(), 8, 0},
+      {"dispatched/t1", nullptr, 1},
+      {"dispatched/t8", nullptr, 8},
+      {"portable/t1", &simd::PortableKernels(), 1},
+      {"portable/t8", &simd::PortableKernels(), 8},
   };
 
   std::vector<float> baseline_losses;
@@ -482,7 +477,6 @@ TEST(ExecDeterminism, CheckpointBitwiseAcrossKernelSetFusionAndThreads) {
   for (size_t i = 0; i < configs.size(); ++i) {
     const Config& config = configs[i];
     simd::SetKernelsForTesting(config.kernels);
-    SetFusionEnabledForTesting(config.fusion);
     const std::string ckpt =
         ::testing::TempDir() + "/exec_det_matrix_" + std::to_string(i) +
         ".bin";
@@ -490,7 +484,6 @@ TEST(ExecDeterminism, CheckpointBitwiseAcrossKernelSetFusionAndThreads) {
     const std::string bytes = ReadFileBytes(ckpt);
     std::remove(ckpt.c_str());
     simd::SetKernelsForTesting(nullptr);
-    SetFusionEnabledForTesting(-1);
 
     ASSERT_FALSE(bytes.empty()) << config.tag;
     if (i == 0) {

@@ -170,6 +170,30 @@ TEST(KernelCostProfilerTest, SoftmaxBackwardAttributed) {
   EXPECT_EQ(softmax->backward_flops, 4 * 20);
 }
 
+// A grad-free elementwise chain is evaluated op by op, so each op's
+// forward row carries its own calls and modelled FLOPs (one per element),
+// and no combined row takes the chain's time.
+TEST(KernelCostProfilerTest, GradFreeElementwiseOpsAreTimedAsThemselves) {
+  ObsSandbox sandbox(/*enabled=*/true);
+  Rng rng(11);
+  const Tensor a = Tensor::Randn({6, 7}, rng);
+  const Tensor b = Tensor::Randn({6, 7}, rng);
+  {
+    NoGradGuard no_grad;
+    const Tensor out = Sigmoid(AddScalar(Mul(a, b), 0.5f));
+    EXPECT_EQ(out.Numel(), 42);
+  }
+  const std::vector<obs::OpProfile> ops = obs::OpProfiles();
+  for (const char* name : {"mul", "add_scalar", "sigmoid"}) {
+    const obs::OpProfile* op = FindOp(ops, name);
+    ASSERT_NE(op, nullptr) << name;
+    EXPECT_EQ(op->forward_calls, 1) << name;
+    EXPECT_EQ(op->forward_flops, 42) << name;
+    EXPECT_EQ(op->backward_calls, 0) << name;
+  }
+  EXPECT_EQ(ops.size(), 3u);
+}
+
 TEST(KernelCostProfilerTest, DisabledTraceRecordsNothing) {
   ObsSandbox sandbox(/*enabled=*/false);
   Rng rng(11);

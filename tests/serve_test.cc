@@ -1169,5 +1169,44 @@ TEST(HttpServerTest, DrainClosesConnectionWithHalfReceivedRequest) {
   drained.get();
 }
 
+// This process's virtual address space in KiB (VmSize in
+// /proc/self/status), or -1 where that file is unreadable.
+int64_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+// Every closed connection's thread is joined before long: an exited but
+// unjoined thread keeps its stack mapped, so 300 short connections would
+// otherwise grow the address space by 300 stacks (8 MiB each by default).
+// One connection is open at a time.
+TEST(HttpServerTest, ClosedConnectionThreadsAreReaped) {
+  HttpServer server;
+  server.Route("GET", "/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{}";
+    return response;
+  });
+  ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
+  HttpClient client("127.0.0.1", server.port());
+  const std::vector<std::pair<std::string, std::string>> close = {
+      {"Connection", "close"}};
+  ASSERT_EQ(Exchange(client, "GET", "/ping", "", close).body, "{}");
+  const int64_t before_kib = VmSizeKib();
+  if (before_kib < 0) GTEST_SKIP() << "/proc/self/status is unreadable";
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(Exchange(client, "GET", "/ping", "", close).body, "{}")
+        << "request " << i;
+  }
+  const int64_t grown_mib = (VmSizeKib() - before_kib) / 1024;
+  EXPECT_LT(grown_mib, 64) << "VmSize grew by " << grown_mib
+                           << " MiB over 300 closed connections";
+  server.Drain();
+}
+
 }  // namespace
 }  // namespace sthsl::serve

@@ -1,5 +1,5 @@
-// Tests for the runtime-dispatched SIMD microkernel layer (src/simd) and the
-// eager elementwise-chain fusion built on top of it (tensor/fusion.h):
+// Tests for the runtime-dispatched SIMD microkernel layer (src/simd) and
+// the tensor ops that call it:
 //
 //  - dispatch: portable always present, unknown names rejected, the selected
 //    set matches the detected CPU, the test override works;
@@ -8,16 +8,11 @@
 //    (1, 3, 7, 17, 63) — the executable form of the simd.h contract;
 //  - GEMM: the blocked driver matches a plain ascending-fma reference
 //    bitwise, including K larger than the cache block;
-//  - fusion: grad-free chains fuse while grad-recording ops run eager and
-//    leave no fused node in the graph, forward/backward are bitwise
-//    identical to the unfused graph, gradcheck passes, broadcasts fall back
-//    to eager, intermediate allocations disappear;
-//  - thread invariance: vectorized and fused paths are bitwise stable
-//    across thread counts;
-//  - op table: every row of tensor/elementwise_ops.h fuses to the eager
-//    op's bits and is costed as an elementwise op.
+//  - op table: every row of tensor/elementwise_ops.h records its name and
+//    is costed as an elementwise op;
+//  - vectorized ops: softmax and conv are bitwise stable across kernel sets
+//    and thread counts.
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -30,13 +25,10 @@
 
 #include "exec/exec.h"
 #include "simd/simd.h"
-#include "tensor/debug_validator.h"
 #include "tensor/elementwise_ops.h"
-#include "tensor/fusion.h"
 #include "tensor/kernel_cost.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
-#include "util/obs/obs.h"
 #include "util/rng.h"
 
 namespace sthsl {
@@ -89,13 +81,10 @@ class ThreadCountGuard {
   int previous_;
 };
 
-// Restores the default kernel set and fusion mode on scope exit.
+// Restores the default kernel set on scope exit.
 class SimdOverrideGuard {
  public:
-  ~SimdOverrideGuard() {
-    simd::SetKernelsForTesting(nullptr);
-    SetFusionEnabledForTesting(-1);
-  }
+  ~SimdOverrideGuard() { simd::SetKernelsForTesting(nullptr); }
 };
 
 // ---------------------------------------------------------------- dispatch --
@@ -146,7 +135,7 @@ TEST(SimdParity, ElementwiseBitwiseAcrossVariantsAndTails) {
     for (int64_t n : TailSizes()) {
       const std::vector<float> x = RandomValues(n, 100 + n);
       const std::vector<float> y =
-          RandomValues(n, 200 + n, 0.5f, 2.0f);  // away from 0 for div
+          RandomValues(n, 200 + n, 0.5f, 2.0f);
       const std::string tag =
           std::string(ks->name) + " n=" + std::to_string(n);
 
@@ -155,35 +144,20 @@ TEST(SimdParity, ElementwiseBitwiseAcrossVariantsAndTails) {
       ref.add(n, x.data(), y.data(), want.data());
       ks->add(n, x.data(), y.data(), got.data());
       ExpectBitwiseEq(got, want, "add " + tag);
-      ref.sub(n, x.data(), y.data(), want.data());
-      ks->sub(n, x.data(), y.data(), got.data());
-      ExpectBitwiseEq(got, want, "sub " + tag);
       ref.mul(n, x.data(), y.data(), want.data());
       ks->mul(n, x.data(), y.data(), got.data());
       ExpectBitwiseEq(got, want, "mul " + tag);
-      ref.div(n, x.data(), y.data(), want.data());
-      ks->div(n, x.data(), y.data(), got.data());
-      ExpectBitwiseEq(got, want, "div " + tag);
 
       ref.add_scalar(n, x.data(), 0.37f, want.data());
       ks->add_scalar(n, x.data(), 0.37f, got.data());
       ExpectBitwiseEq(got, want, "add_scalar " + tag);
-      ref.mul_scalar(n, x.data(), -1.71f, want.data());
-      ks->mul_scalar(n, x.data(), -1.71f, got.data());
-      ExpectBitwiseEq(got, want, "mul_scalar " + tag);
       ref.div_scalar(n, x.data(), 3.0f, want.data());
       ks->div_scalar(n, x.data(), 3.0f, got.data());
       ExpectBitwiseEq(got, want, "div_scalar " + tag);
 
-      ref.relu(n, x.data(), want.data());
-      ks->relu(n, x.data(), got.data());
-      ExpectBitwiseEq(got, want, "relu " + tag);
       ref.leaky_relu(n, x.data(), 0.01f, want.data());
       ks->leaky_relu(n, x.data(), 0.01f, got.data());
       ExpectBitwiseEq(got, want, "leaky_relu " + tag);
-      ref.clamp_min(n, x.data(), 0.25f, want.data());
-      ks->clamp_min(n, x.data(), 0.25f, got.data());
-      ExpectBitwiseEq(got, want, "clamp_min " + tag);
       ref.leaky_relu_grad(n, x.data(), y.data(), 0.1f, want.data());
       ks->leaky_relu_grad(n, x.data(), y.data(), 0.1f, got.data());
       ExpectBitwiseEq(got, want, "leaky_relu_grad " + tag);
@@ -433,267 +407,6 @@ TEST(GemmBitwise, ForwardAndGradsIdenticalAcrossKernelSets) {
   ExpectBitwiseEq(portable, dispatched, "matmul fwd+bwd across kernel sets");
 }
 
-// ---------------------------------------------------------------- fusion --
-
-// Number of steps of `t`'s pending chain, 0 when `t` is materialized.
-size_t PendingSteps(const Tensor& t) {
-  const auto impl = t.Impl();
-  return impl->pending != nullptr ? impl->pending->steps.size() : 0;
-}
-
-// Every op name in the autograd graph rooted at `root`.
-std::vector<std::string> GraphOpNames(const Tensor& root) {
-  std::vector<std::string> names;
-  std::vector<std::shared_ptr<GradNode>> stack;
-  std::vector<const GradNode*> seen;
-  if (root.GradFn() != nullptr) stack.push_back(root.GradFn());
-  while (!stack.empty()) {
-    const auto node = stack.back();
-    stack.pop_back();
-    if (std::find(seen.begin(), seen.end(), node.get()) != seen.end()) continue;
-    seen.push_back(node.get());
-    names.push_back(node->op_name);
-    for (const Tensor& input : node->inputs) {
-      if (input.GradFn() != nullptr) stack.push_back(input.GradFn());
-    }
-  }
-  return names;
-}
-
-TEST(Fusion, GradFreePrefixFusesAndGradStepRunsEager) {
-  SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  Rng rng(11);
-  // The prefix of the chain is grad-free, so it stays lazy and keeps
-  // extending; the grad-carrying rhs arrives in the last step, which takes
-  // the eager kernel and records an ordinary node.
-  Tensor a = Tensor::Randn({4, 8}, rng, 1.0f);
-  Tensor b = Tensor::Randn({4, 8}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor prefix = Relu(AddScalar(a, 0.5f));
-  EXPECT_EQ(PendingSteps(prefix), 2u);
-  EXPECT_EQ(prefix.GradFn(), nullptr);
-  Tensor z = Mul(prefix, b);
-  EXPECT_EQ(PendingSteps(z), 0u);
-  ASSERT_NE(z.GradFn(), nullptr);
-  EXPECT_EQ(z.GradFn()->op_name, "mul");
-  ASSERT_EQ(z.GradFn()->inputs.size(), 2u);
-  EXPECT_EQ(z.GradFn()->inputs[0].GradFn(), nullptr);
-}
-
-TEST(Fusion, GradRecordingOpsTakeEagerKernels) {
-  SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  Rng rng(11);
-  Tensor a = Tensor::Randn({4, 8}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor z = Relu(AddScalar(Square(a), 0.5f));
-  EXPECT_EQ(PendingSteps(z), 0u);
-  EXPECT_EQ(GraphOpNames(z),
-            (std::vector<std::string>{"relu", "add_scalar", "square"}));
-  // Under NoGradGuard the same expression fuses into one pending chain.
-  {
-    NoGradGuard no_grad;
-    Tensor w = Relu(AddScalar(Square(a), 0.5f));
-    EXPECT_EQ(w.GradFn(), nullptr);
-    EXPECT_EQ(PendingSteps(w), 3u);
-  }
-}
-
-TEST(Fusion, BroadcastBinaryFallsBackToEager) {
-  SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  Rng rng(12);
-  Tensor a = Tensor::Randn({4, 8}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor row = Tensor::Randn({1, 8}, rng, 1.0f);
-  Tensor z = Add(a, row);
-  ASSERT_NE(z.GradFn(), nullptr);
-  EXPECT_EQ(z.GradFn()->op_name, "add");
-}
-
-// A z-score -> bias -> activation -> mask pipeline plus a tail that would
-// force a chain split (> kMaxFusedSteps steps in total).
-Tensor ElementwisePipeline(const Tensor& a, const Tensor& b,
-                           const Tensor& mask) {
-  Tensor z = Mul(a, b);
-  z = AddScalar(z, 0.25f);
-  z = Tanh(z);
-  z = Mul(z, mask);
-  z = Sigmoid(z);
-  z = MulScalar(z, 1.5f);
-  z = Sub(z, b);
-  z = Square(z);
-  z = LeakyRelu(z, 0.01f);  // step 9: exceeds kMaxFusedSteps, splits chain
-  return AddScalar(z, 0.125f);
-}
-
-std::vector<float> ChainForwardAndGrads(int fusion_mode, int threads) {
-  ThreadCountGuard thread_guard;
-  exec::SetThreadCount(threads);
-  SetFusionEnabledForTesting(fusion_mode);
-  Rng rng(13);
-  // Odd numel (3*7*17 = 357) so vector paths hit scalar tails.
-  Tensor a = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor b = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor mask = Tensor::Rand({3, 7, 17}, rng, 0.5f, 1.5f);
-  Tensor loss = Sum(ElementwisePipeline(a, b, mask));
-  loss.Backward();
-  std::vector<float> out = {loss.Item()};
-  out.insert(out.end(), a.Grad().begin(), a.Grad().end());
-  out.insert(out.end(), b.Grad().begin(), b.Grad().end());
-  {
-    // The same pipeline without gradients: with fusion on, two chains.
-    NoGradGuard no_grad;
-    const Tensor inference = ElementwisePipeline(a, b, mask);
-    out.insert(out.end(), inference.Data().begin(), inference.Data().end());
-  }
-  return out;
-}
-
-TEST(Fusion, GradGraphHoldsNoFusedNodes) {
-  SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  Rng rng(13);
-  Tensor a = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor b = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor mask = Tensor::Rand({3, 7, 17}, rng, 0.5f, 1.5f);
-  const std::vector<std::string> names =
-      GraphOpNames(Sum(ElementwisePipeline(a, b, mask)));
-  EXPECT_EQ(names.size(), 11u);
-  for (const std::string& name : names) {
-    EXPECT_EQ(name.rfind("fused_elemwise", 0), std::string::npos) << name;
-  }
-  NoGradGuard no_grad;
-  // 8 steps fill the first chain; the last two start a second one.
-  EXPECT_EQ(PendingSteps(ElementwisePipeline(a, b, mask)), 2u);
-}
-
-TEST(Fusion, ForwardAndGradsBitwiseEqualUnfused) {
-  SimdOverrideGuard guard;
-  const auto fused = ChainForwardAndGrads(/*fusion_mode=*/1, /*threads=*/1);
-  const auto eager = ChainForwardAndGrads(/*fusion_mode=*/0, /*threads=*/1);
-  ExpectBitwiseEq(fused, eager, "fused vs eager chain");
-}
-
-TEST(Fusion, FusedChainBitwiseStableAcrossThreadCounts) {
-  SimdOverrideGuard guard;
-  const auto serial = ChainForwardAndGrads(/*fusion_mode=*/1, /*threads=*/1);
-  EXPECT_EQ(serial, ChainForwardAndGrads(1, 4));
-  EXPECT_EQ(serial, ChainForwardAndGrads(1, 8));
-}
-
-TEST(Fusion, FusedChainBitwiseEqualAcrossKernelSets) {
-  SimdOverrideGuard guard;
-  simd::SetKernelsForTesting(&simd::PortableKernels());
-  const auto portable = ChainForwardAndGrads(1, 1);
-  simd::SetKernelsForTesting(nullptr);
-  const auto dispatched = ChainForwardAndGrads(1, 1);
-  ExpectBitwiseEq(portable, dispatched, "fused chain across kernel sets");
-}
-
-TEST(Fusion, SharedPrefixAccumulatesGradientsFromBothConsumers) {
-  SimdOverrideGuard guard;
-  const auto run = [](int fusion_mode) {
-    SetFusionEnabledForTesting(fusion_mode);
-    Rng rng(14);
-    Tensor a = Tensor::Randn({33}, rng, 1.0f, /*requires_grad=*/true);
-    // `h` is consumed twice: extended into a longer chain AND used directly.
-    Tensor h = Relu(a);
-    Tensor loss = Add(Sum(Tanh(h)), Sum(Mul(h, h)));
-    loss.Backward();
-    std::vector<float> out = {loss.Item()};
-    out.insert(out.end(), a.Grad().begin(), a.Grad().end());
-    return out;
-  };
-  ExpectBitwiseEq(run(1), run(0), "shared prefix grads");
-}
-
-TEST(Fusion, RemovesIntermediateAllocations) {
-  SimdOverrideGuard guard;
-  const auto peak_bytes = [](int fusion_mode) {
-    SetFusionEnabledForTesting(fusion_mode);
-    Rng rng(15);
-    Tensor a = Tensor::Randn({64, 64}, rng);
-    const bool previous = obs::SetTraceEnabled(true);
-    obs::ResetProfiler();
-    {
-      NoGradGuard no_grad;
-      Tensor z = MulScalar(AddScalar(Tanh(MulScalar(a, 0.5f)), 1.0f), 0.25f);
-      (void)z.Data();
-    }
-    const int64_t peak = obs::PeakTensorBytes();
-    obs::ResetProfiler();
-    obs::SetTraceEnabled(previous);
-    return peak;
-  };
-  const int64_t fused_peak = peak_bytes(1);
-  const int64_t eager_peak = peak_bytes(0);
-  // Eager materializes every intermediate; the fused chain allocates only
-  // the final output buffer.
-  EXPECT_LT(fused_peak, eager_peak);
-}
-
-// Central-difference gradcheck over fused chains (mirrors autograd_test.cc).
-void ExpectGradMatchesNumeric(
-    const std::function<Tensor(const std::vector<Tensor>&)>& fn,
-    std::vector<Tensor> inputs, float eps = 1e-2f, float tol = 2e-2f) {
-  Tensor out = fn(inputs);
-  ASSERT_EQ(out.Numel(), 1) << "gradcheck requires a scalar objective";
-  for (auto& t : inputs) t.ZeroGrad();
-  out.Backward();
-  for (size_t which = 0; which < inputs.size(); ++which) {
-    auto& t = inputs[which];
-    ASSERT_FALSE(t.Grad().empty()) << "no gradient to input " << which;
-    for (int64_t i = 0; i < t.Numel(); ++i) {
-      const float saved = t.Data()[static_cast<size_t>(i)];
-      float plus;
-      float minus;
-      {
-        NoGradGuard no_grad;
-        t.MutableData()[static_cast<size_t>(i)] = saved + eps;
-        plus = fn(inputs).Item();
-        t.MutableData()[static_cast<size_t>(i)] = saved - eps;
-        minus = fn(inputs).Item();
-        t.MutableData()[static_cast<size_t>(i)] = saved;
-      }
-      const float numeric = (plus - minus) / (2.0f * eps);
-      const float analytic = t.Grad()[static_cast<size_t>(i)];
-      EXPECT_NEAR(analytic, numeric, tol * std::max(1.0f, std::fabs(numeric)))
-          << "input " << which << " element " << i;
-    }
-  }
-}
-
-TEST(Fusion, GradcheckFusedChainsOverTailSizes) {
-  SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  for (int64_t n : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{17},
-                    int64_t{63}}) {
-    Rng rng(static_cast<uint64_t>(40 + n));
-    // Values bounded away from the relu/abs kinks and div-by-zero.
-    Tensor a = Tensor::Rand({n}, rng, 0.3f, 1.4f, /*requires_grad=*/true);
-    Tensor b = Tensor::Rand({n}, rng, 0.6f, 1.8f, /*requires_grad=*/true);
-    ExpectGradMatchesNumeric(
-        [](const std::vector<Tensor>& in) {
-          Tensor z = Mul(in[0], in[1]);
-          z = AddScalar(z, 0.4f);
-          z = Sigmoid(z);
-          z = Div(z, in[1]);
-          z = Tanh(z);
-          return Sum(z);
-        },
-        {a, b});
-    ExpectGradMatchesNumeric(
-        [](const std::vector<Tensor>& in) {
-          Tensor z = Exp(MulScalar(in[0], 0.5f));
-          z = Log(z);
-          z = Sqrt(z);
-          z = Square(z);
-          z = Sub(z, in[1]);
-          return Sum(Square(z));
-        },
-        {a, b});
-  }
-}
-
 // -------------------------------------------------------------- op table --
 
 // One row of the elementwise op table as a callable: binary rows take
@@ -716,44 +429,6 @@ std::vector<ElementwiseRow> ElementwiseRows(float s) {
 #undef STHSL_TEST_CALL_SCALAR
 #undef STHSL_TEST_CALL_UNARY
 #undef STHSL_TEST_CALL_BINARY
-}
-
-TEST(OpTable, FusedChainBitwiseEqualsEagerOpForEveryRow) {
-  SimdOverrideGuard guard;
-  ThreadCountGuard thread_guard;
-  NoGradGuard no_grad;
-  // The inputs produce NaN and +-inf on purpose (0/0, sqrt of negatives),
-  // which the STHSL_DEBUG_CHECKS validator rejects, so it is off here.
-  struct DebugChecksOff {
-    bool previous = SetDebugChecks(false);
-    ~DebugChecksOff() { SetDebugChecks(previous); }
-  } checks_off;
-  for (const auto* ks : CompiledVariants()) {
-    simd::SetKernelsForTesting(ks);
-    for (const float s : {0.37f, -2.0f, 0.0f}) {
-      for (const auto& row : ElementwiseRows(s)) {
-        for (const int threads : {1, 4}) {
-          exec::SetThreadCount(threads);
-          for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{17},
-                                  int64_t{63}, int64_t{16385}}) {
-            // Both operands start with +0 and -0.
-            const Tensor x = Tensor::FromVector({n}, RandomValues(n, 300 + n));
-            const Tensor y = Tensor::FromVector({n}, RandomValues(n, 400 + n));
-            SetFusionEnabledForTesting(0);
-            const Tensor eager = row.op(row.op(x, y), y);
-            SetFusionEnabledForTesting(1);
-            const Tensor fused = row.op(row.op(x, y), y);
-            const std::string tag = row.name + " " + ks->name +
-                                    " s=" + std::to_string(s) +
-                                    " threads=" + std::to_string(threads) +
-                                    " n=" + std::to_string(n);
-            ASSERT_EQ(PendingSteps(fused), 2u) << tag;
-            ExpectBitwiseEq(fused.Data(), eager.Data(), tag);
-          }
-        }
-      }
-    }
-  }
 }
 
 TEST(OpTable, EveryRowRecordsItsNameAndElementwiseCost) {
